@@ -44,7 +44,6 @@ from .repify import (
     check_chart_d_squared,
     h0_ideal,
     matricize,
-    matrix_trace,
 )
 from .resolution import (
     AlgebraInput,
@@ -102,7 +101,6 @@ __all__ = [
     "koszul_ext_oracle",
     "lift_to_free",
     "matricize",
-    "matrix_trace",
     "omega0",
     "pairing_at",
     "parse_poly",

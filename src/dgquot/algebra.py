@@ -2,14 +2,21 @@
 
 Coefficients are exact rationals (fractions.Fraction).  Generators carry an
 internal degree <= 0 and a Koszul parity; odd generators anticommute and
-square to zero.  Two polynomial layers share the generator type:
+square to zero.  Both polynomial layers are sparse term maps, key -> nonzero
+rational, on one private base class that owns canonical construction, the
+linear operations, equality and printing.  They differ only in the key:
 
-* GradedPoly  -- graded-commutative, monomials kept in a single canonical
-  generator order with Koszul reordering signs applied eagerly;
-* NCPoly      -- free associative, words are never reordered.
+* GradedPoly  -- graded-commutative; a key is a monomial kept in a single
+  canonical generator order, and products merge monomials with the Koszul
+  reordering sign (mono_mul);
+* NCPoly      -- free associative; a key is a word, never reordered, and
+  products concatenate words.
 
-Both layers support derivation extension via the graded Leibniz rule, which
-is how every differential in the package is built.
+Every differential in the package is a derivation extended from generator
+images by the graded Leibniz rule (extend_derivation).  Each image term is
+spliced into the input key in place: a word splice on the free layer, and
+two monomial merges left * image * right, with their Koszul signs, on the
+graded layer.  No intermediate polynomial is built per term.
 """
 
 from __future__ import annotations
@@ -147,10 +154,6 @@ def mono_form_degree(m: Monomial) -> int:
     return sum(e for g, e in m if g.dform)
 
 
-def mono_parity(m: Monomial) -> int:
-    return sum(g.parity * e for g, e in m) % 2
-
-
 def mono_grade(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -165,43 +168,164 @@ def _coeff(c: ScalarLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
+def _homogeneous(degs: set, what: str):
+    """The single degree in degs, None when empty; raise when mixed."""
+    if not degs:
+        return None
+    if len(degs) > 1:
+        raise StructureError(f"inhomogeneous {what} degrees {sorted(degs)}")
+    return degs.pop()
 
 
-class GradedPoly:
-    """Graded-commutative polynomial: finite map from monomials to rationals."""
+class _TermMap:
+    """Finite map from keys to nonzero rationals, with the linear operations.
 
-    __slots__ = ("terms", "_table")
+    Subclasses fix the key type through three hooks: ``_canon`` turns a
+    caller-supplied key into canonical form (None when it is zero),
+    ``_print_key`` orders keys for printing, and ``_factors`` names a key's
+    factors.  Results of the linear operations keep the operand's class.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = (), _raw: bool = False):
-        self._table = None
         if _raw:
             self.terms = dict(terms)
             return
         acc: dict = {}
-        for m, c in dict(terms).items():
+        for k, c in dict(terms).items():
             c = _coeff(c)
             if not c:
                 continue
-            m2 = make_monomial(m)
-            if m2 is None:
+            k = self._canon(k)
+            if k is None:
                 continue
-            acc[m2] = acc.get(m2, _ZERO) + c
-            if not acc[m2]:
-                del acc[m2]
+            s = acc.get(k, _ZERO) + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
         self.terms = acc
 
     # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero() -> "GradedPoly":
-        return GradedPoly({}, _raw=True)
+    @classmethod
+    def zero(cls):
+        return cls({}, _raw=True)
 
-    @staticmethod
-    def const(c: ScalarLike) -> "GradedPoly":
+    @classmethod
+    def const(cls, c: ScalarLike):
         c = _coeff(c)
-        return GradedPoly({(): c} if c else {}, _raw=True)
+        return cls({(): c} if c else {}, _raw=True)
 
+    # -- structure ---------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _coerce(self, other):
+        """other as a polynomial of this class, or None if it cannot be."""
+        if isinstance(other, (int, Fraction)):
+            return self.const(other)
+        return other if isinstance(other, type(self)) else None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def normalize(self):
+        """Rebuild the canonical form (idempotent by construction)."""
+        return type(self)(self.terms)
+
+    def constant(self) -> Fraction:
+        """The value of a constant polynomial."""
+        if not self.terms:
+            return _ZERO
+        if set(self.terms) != {()}:
+            raise StructureError("polynomial is not constant")
+        return self.terms[()]
+
+    # -- linear operations -------------------------------------------------
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            s = acc.get(k, _ZERO) + c
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+        return type(self)(acc, _raw=True)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()}, _raw=True)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c: ScalarLike):
+        c = _coeff(c)
+        if not c:
+            return self.zero()
+        return type(self)({k: c * v for k, v in self.terms.items()}, _raw=True)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    # -- printing ----------------------------------------------------------
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kc: self._print_key(kc[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        chunks = []
+        for k, c in self.sorted_terms():
+            factors = self._factors(k)
+            if not factors:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(abs(c))] + factors)
+            chunks.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(chunks)
+        return "-" + text[2:] if text.startswith("- ") else text[2:]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class GradedPoly(_TermMap):
+    """Graded-commutative polynomial: finite map from monomials to rationals."""
+
+    __slots__ = ("_table",)
+
+    _canon = staticmethod(make_monomial)
+    _print_key = staticmethod(mono_print_key)
+
+    @staticmethod
+    def _factors(m: Monomial) -> list:
+        return [g.name if e == 1 else f"{g.name}^{e}" for g, e in m]
+
+    # -- constructors ------------------------------------------------------
     @staticmethod
     def gen(g: GenSym) -> "GradedPoly":
         return GradedPoly({((g, 1),): _ONE}, _raw=True)
@@ -215,32 +339,16 @@ class GradedPoly:
         return GradedPoly({m: c}, _raw=True)
 
     # -- structure ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, GradedPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == GradedPoly.const(other)
-        return NotImplemented
-
-    __hash__ = None
-
     def generators(self) -> set:
-        out = set()
-        for m in self.terms:
-            for g, _ in m:
-                out.add(g)
-        return out
+        return {g for m in self.terms for g, _ in m}
 
     def table(self) -> dict:
-        if self._table is None:
+        """Generator name -> generator, computed once per polynomial."""
+        try:
+            return self._table
+        except AttributeError:
             self._table = {g.name: g for m in self.terms for g, _ in m}
-        return self._table
+            return self._table
 
     def check_table(self, other: "GradedPoly"):
         a, b = self.table(), other.table()
@@ -253,61 +361,12 @@ class GradedPoly:
 
     def internal_degree(self):
         """Internal degree if homogeneous, else raise."""
-        degs = {mono_internal_degree(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise StructureError(f"inhomogeneous internal degrees {sorted(degs)}")
-        return degs.pop()
+        return _homogeneous({mono_internal_degree(m) for m in self.terms}, "internal")
 
     def form_degree(self):
-        degs = {mono_form_degree(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise StructureError(f"inhomogeneous form degrees {sorted(degs)}")
-        return degs.pop()
+        return _homogeneous({mono_form_degree(m) for m in self.terms}, "form")
 
-    def normalize(self) -> "GradedPoly":
-        """Rebuild the canonical form (idempotent by construction)."""
-        return GradedPoly(self.terms)
-
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, _ZERO) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return GradedPoly(acc, _raw=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedPoly({m: -c for m, c in self.terms.items()}, _raw=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c: ScalarLike) -> "GradedPoly":
-        c = _coeff(c)
-        if not c:
-            return GradedPoly.zero()
-        return GradedPoly({m: c * v for m, v in self.terms.items()}, _raw=True)
-
+    # -- products ----------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -327,11 +386,6 @@ class GradedPoly:
                 else:
                     del acc[m]
         return GradedPoly(acc, _raw=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, e: int):
         if e < 0:
@@ -372,14 +426,6 @@ class GradedPoly:
             else:
                 del acc[key]
         return GradedPoly(acc, _raw=True)
-
-    def constant(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.terms:
-            return _ZERO
-        if set(self.terms) != {()}:
-            raise StructureError("polynomial is not constant")
-        return self.terms[()]
 
     def linear_part(self, pt: Mapping) -> dict:
         """First-order term at pt, as a map generator -> coefficient.
@@ -422,60 +468,21 @@ class GradedPoly:
                     add(g, val)
         return out
 
-    # -- printing ----------------------------------------------------------
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_print_key(mc[0]))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for g, e in m:
-                factors.append(g.name if e == 1 else f"{g.name}^{e}")
-            if not factors:
-                body = _coeff_str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_coeff_str(abs(c))] + factors)
-            chunks.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(chunks)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
-
-    def __repr__(self):
-        return f"GradedPoly({self})"
-
-
-class NCPoly:
+class NCPoly(_TermMap):
     """Free associative polynomial: finite map from words to rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping = (), _raw: bool = False):
-        if _raw:
-            self.terms = dict(terms)
-            return
-        acc: dict = {}
-        for w, c in dict(terms).items():
-            c = _coeff(c)
-            if not c:
-                continue
-            w = tuple(w)
-            acc[w] = acc.get(w, _ZERO) + c
-            if not acc[w]:
-                del acc[w]
-        self.terms = acc
+    _canon = staticmethod(tuple)
 
     @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly({}, _raw=True)
+    def _print_key(w: tuple):
+        return (-len(w), tuple(g.sort_key for g in w))
 
     @staticmethod
-    def const(c: ScalarLike) -> "NCPoly":
-        c = _coeff(c)
-        return NCPoly({(): c} if c else {}, _raw=True)
+    def _factors(w: tuple) -> list:
+        return [g.name for g in w]
 
     @staticmethod
     def gen(g: GenSym) -> "NCPoly":
@@ -488,69 +495,11 @@ class NCPoly:
             return NCPoly.zero()
         return NCPoly({tuple(letters): c}, _raw=True)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == NCPoly.const(other)
-        return NotImplemented
-
-    __hash__ = None
-
     def generators(self) -> set:
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
+        return {g for w in self.terms for g in w}
 
     def internal_degree(self):
-        degs = {sum(g.degree for g in w) for w in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise StructureError(f"inhomogeneous internal degrees {sorted(degs)}")
-        return degs.pop()
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.const(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = acc.get(w, _ZERO) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-        return NCPoly(acc, _raw=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()}, _raw=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.const(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c: ScalarLike) -> "NCPoly":
-        c = _coeff(c)
-        if not c:
-            return NCPoly.zero()
-        return NCPoly({w: c * v for w, v in self.terms.items()}, _raw=True)
+        return _homogeneous({sum(g.degree for g in w) for w in self.terms}, "internal")
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -568,36 +517,6 @@ class NCPoly:
                     del acc[w]
         return NCPoly(acc, _raw=True)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda wc: (-len(wc[0]), tuple(g.sort_key for g in wc[0])),
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for w, c in self.sorted_terms():
-            factors = [g.name for g in w]
-            if not factors:
-                body = _coeff_str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_coeff_str(abs(c))] + factors)
-            chunks.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(chunks)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
-
-    def __repr__(self):
-        return f"NCPoly({self})"
-
 
 def graded_commutator(a: NCPoly, b: NCPoly) -> NCPoly:
     """[a, b] = a*b - (-1)^(|a||b|) b*a for homogeneous a, b."""
@@ -610,20 +529,16 @@ def graded_commutator(a: NCPoly, b: NCPoly) -> NCPoly:
     return a * b - b * a
 
 
-def _iadd_terms(acc: dict, terms: Mapping, factor: Fraction = _ONE):
-    for key, c in terms.items():
-        s = acc.get(key, _ZERO) + factor * c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
 def poly_sum(polys: Iterable) -> GradedPoly:
     """Sum of GradedPoly values without quadratic re-copying."""
     acc: dict = {}
     for p in polys:
-        _iadd_terms(acc, p.terms)
+        for m, c in p.terms.items():
+            s = acc.get(m, _ZERO) + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
     return GradedPoly(acc, _raw=True)
 
 
@@ -632,7 +547,10 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
 
     D(ab) = D(a) b + (-1)^(shift*|a|) a D(b), where |a| is the Koszul parity.
     Works on both GradedPoly and NCPoly; every generator occurring in e must
-    have an image (use an explicit zero for killed generators).
+    have an image (use an explicit zero for killed generators).  On the
+    graded layer the image of each generator of e is checked once against
+    e's generator table, so an image generator that shares a name with a
+    different generator of e raises StructureError.
     """
     odd = degree_shift % 2
 
@@ -663,19 +581,31 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
 
     if isinstance(e, GradedPoly):
         acc = {}
+        checked = set()
         for m, c in e.terms.items():
             par = 0
             for l, (g, ex) in enumerate(m):
                 img = image(g)
                 if img:
+                    if g not in checked:
+                        e.check_table(img)
+                        checked.add(g)
                     sign = -c * ex if (odd and par) else c * ex
                     left = m[:l] + (((g, ex - 1),) if ex > 1 else ())
-                    term = (
-                        GradedPoly.monomial(left, sign)
-                        * img
-                        * GradedPoly.monomial(m[l + 1 :])
-                    )
-                    _iadd_terms(acc, term.terms)
+                    right = m[l + 1 :]
+                    # D(g^ex) contributes left * image-term * right
+                    for m2, c2 in img.terms.items():
+                        s1, lm = mono_mul(left, m2)
+                        if not s1:
+                            continue
+                        s2, key = mono_mul(lm, right)
+                        if not s2:
+                            continue
+                        s = acc.get(key, _ZERO) + (sign * c2 if s1 == s2 else -sign * c2)
+                        if s:
+                            acc[key] = s
+                        else:
+                            del acc[key]
                 par = (par + g.parity * ex) % 2
         return GradedPoly(acc, _raw=True)
 

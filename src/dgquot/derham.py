@@ -26,7 +26,7 @@ from .algebra import GenSym, GradedPoly, extend_derivation, poly_sum
 from .errors import StructureError
 from .parser import parse_poly
 from .points import MatrixPoint, chart_assignment, is_classical_point
-from .repify import CDGAMatrix, ChartPresentation, matrix_trace
+from .repify import CDGAMatrix, ChartPresentation
 
 
 class DeRhamAlgebra:
@@ -133,7 +133,7 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
         A, B, U = coord(a), coord(b), u(p, q)
         dA, dB = dcoord(a), dcoord(b)
         terms.append((B @ dA @ U - A @ dB @ U).scale(third))
-    return poly_sum(matrix_trace(t) for t in terms)
+    return poly_sum(t.trace() for t in terms)
 
 
 def omega0(dr: DeRhamAlgebra, phi: Optional[GradedPoly] = None) -> GradedPoly:

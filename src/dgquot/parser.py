@@ -157,9 +157,3 @@ def _parse_rational(toks: _Tokens) -> Fraction:
             raise ParseError("division by zero in rational literal", dstart)
         return Fraction(num, den)
     return Fraction(num)
-
-
-def poly_str(p: GradedPoly) -> str:
-    """Canonical string form (re-parseable by parse_poly for plain
-    degree-0 polynomials)."""
-    return str(p)

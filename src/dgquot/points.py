@@ -73,26 +73,12 @@ def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
 
 def is_stable(pt: MatrixPoint) -> bool:
     """Krylov closure of the framing vector under all matrices spans k^n."""
-    n = pt.n
-    if n == 0:
-        return True
-    basis = linalg.EchelonBasis(n)
-    frontier = []
-    if basis.add(pt.vector):
-        frontier.append(pt.vector)
-    while frontier and basis.dim < n:
-        new = []
-        for v in frontier:
-            for mat in pt.matrices:
-                w = linalg.mat_vec(mat, v)
-                if basis.add(w):
-                    new.append(w)
-        frontier = new
-    return basis.dim == n
+    return krylov_dimension_profile(pt)[-1] == pt.n
 
 
 def krylov_dimension_profile(pt: MatrixPoint) -> list:
-    """Span dimension after each closure round (for the monotonicity test)."""
+    """Span dimension of the Krylov closure of the framing vector after each
+    round, stopping once the span is full or stops growing."""
     n = pt.n
     basis = linalg.EchelonBasis(n)
     dims = []
@@ -100,7 +86,7 @@ def krylov_dimension_profile(pt: MatrixPoint) -> list:
     if basis.add(pt.vector):
         frontier.append(pt.vector)
     dims.append(basis.dim)
-    while frontier:
+    while frontier and basis.dim < n:
         new = []
         for v in frontier:
             for mat in pt.matrices:

@@ -9,7 +9,7 @@ left to right, so the free differential transports to the chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
 from .errors import DimensionError, StructureError
@@ -79,9 +79,6 @@ class CDGAMatrix:
 
     def scale(self, c) -> "CDGAMatrix":
         return CDGAMatrix([[p.scale(c) for p in row] for row in self.entries])
-
-    def map(self, fn: Callable[[GradedPoly], GradedPoly]) -> "CDGAMatrix":
-        return CDGAMatrix([[fn(p) for p in row] for row in self.entries])
 
     def trace(self) -> GradedPoly:
         return poly_sum(self.entries[mu][mu] for mu in range(self.n))
@@ -177,10 +174,6 @@ def matricize(pres: FreePresentation, n: int) -> ChartPresentation:
             if image.internal_degree() != g.degree + 1:
                 raise StructureError(f"differential of {g.name} is not degree +1")
     return chart
-
-
-def matrix_trace(m: CDGAMatrix) -> GradedPoly:
-    return m.trace()
 
 
 def h0_ideal(chart: ChartPresentation) -> list:

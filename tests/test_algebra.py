@@ -147,6 +147,56 @@ def test_derivation_leibniz_property():
         assert d(a * b) == d(a) * b + (a * d(b)).scale(-1 if pa else 1)
 
 
+def derivation_reference(images, e, degree_shift):
+    """The three-temporaries route: sum over terms c*m of e and positions l
+    of monomial(left, +-c*ex) * image * monomial(right)."""
+    odd = degree_shift % 2
+    out = GradedPoly.zero()
+    for m, c in e.terms.items():
+        par = 0
+        for l, (g, ex) in enumerate(m):
+            sign = -c * ex if (odd and par) else c * ex
+            left = m[:l] + (((g, ex - 1),) if ex > 1 else ())
+            out = out + GradedPoly.monomial(left, sign) * images[g] * GradedPoly.monomial(m[l + 1 :])
+            par = (par + g.parity * ex) % 2
+    return out
+
+
+def test_derivation_matches_three_temporaries_route():
+    # de Rham symbols: d(x) and d(t) are odd, d(u) is even and can be squared
+    DX = GenSym("d(x)", 0, "variable", dform=True)
+    DU = GenSym("d(u)", -1, "commutator", dform=True)
+    DT = GenSym("d(t)", -2, "correction", dform=True)
+    gens = GENS + [DX, DU, DT]
+    rng = random.Random(8)
+
+    def sample(max_terms):
+        # distinct generators per monomial, even ones raised up to the cube
+        p = GradedPoly.zero()
+        for _ in range(rng.randint(1, max_terms)):
+            picked = rng.sample(gens, rng.randint(0, 4))
+            pairs = [(g, 1 if g.parity else rng.randint(1, 3)) for g in picked]
+            p = p + GradedPoly.monomial(pairs, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return p
+
+    nonzero = 0
+    for _ in range(300):
+        images = {g: GradedPoly.zero() if rng.random() < 0.2 else sample(3) for g in gens}
+        e = sample(4)
+        for shift in (0, 1):
+            got = extend_derivation(images, e, shift)
+            assert got == derivation_reference(images, e, shift)
+            nonzero += bool(got)
+    assert nonzero > 400
+
+
+def test_derivation_rejects_mixed_generator_tables():
+    fake = GenSym("x", -2, "correction")
+    images = {X: GradedPoly.zero(), U: P(fake)}
+    with pytest.raises(StructureError):
+        extend_derivation(images, P(X) * P(U), 1)
+
+
 def test_missing_image_errors():
     with pytest.raises(StructureError):
         extend_derivation({X: GradedPoly.zero()}, P(X) * P(Y), 1)

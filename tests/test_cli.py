@@ -162,6 +162,12 @@ def test_console_script_entry_point(tmp_path):
     assert rep["results"][0]["points"][0]["stable"] is True
 
 
+def test_public_names_resolve():
+    import dgquot
+
+    assert [name for name in dgquot.__all__ if not hasattr(dgquot, name)] == []
+
+
 def test_selfcheck_task():
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     report = run(manifest, ["selfcheck"], command="selfcheck")
