@@ -189,8 +189,11 @@ class _TermMap:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = (), _raw: bool = False):
+        """Canonicalize ``terms``.  A ``_raw`` caller hands over a fresh,
+        canonical dict (canonical keys, nonzero coefficients) that nothing
+        else holds; it becomes ``.terms`` as is, without a copy."""
         if _raw:
-            self.terms = dict(terms)
+            self.terms = terms
             return
         acc: dict = {}
         for k, c in dict(terms).items():

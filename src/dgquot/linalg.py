@@ -1,14 +1,17 @@
 """Exact rational dense linear algebra: small matrices over Fraction.
 
-Matrices are tuples of tuples of Fraction.  Ranks are computed by
-fraction-free (Bareiss) elimination over the integers after clearing
-denominators, so there are no tolerance parameters anywhere.
+Matrices are tuples of tuples of Fraction.  There is one elimination
+routine, `_echelon`: it clears each row's denominators and runs
+fraction-free (Bareiss) elimination over the integers.  `rank` counts its
+pivots, `nullspace` back-substitutes over its integer rows, and `inverse`
+reads A^-1 off the kernel of [A | -I].  There are no tolerance parameters
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, SingularMatrixError
@@ -98,148 +101,84 @@ def is_zero_matrix(a: Matrix) -> bool:
 
 
 def _clear_row(row) -> list:
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
+    """A rational row scaled to coprime integers."""
+    den = lcm(*(x.denominator for x in row))
     ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
-def rank(a) -> int:
-    """Exact rank via fraction-free Bareiss elimination."""
+def _echelon(a) -> tuple:
+    """Integer row echelon form of a rational matrix, by Bareiss elimination.
+
+    Each row is first cleared to coprime integers.  Returns the nonzero
+    echelon rows (integer lists) and their pivot columns; row i is zero
+    left of pivots[i], and every row below it is zero in that column.
+    """
     rows = [_clear_row([Fraction(x) for x in row]) for row in a]
     rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
+    pivots: list = []
+    ncols = len(rows[0]) if rows else 0
     prev = 1
     col = 0
-    while rk < len(rows) and col < ncols:
-        piv = None
-        for i in range(rk, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+    while len(pivots) < len(rows) and col < ncols:
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if piv is None:
             col += 1
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
-        p = rows[rk][col]
+        prow = rows[rk]
+        p = prow[col]
         for i in range(rk + 1, len(rows)):
             ri = rows[i]
             f = ri[col]
             for j in range(col, ncols):
-                num = p * ri[j] - f * rows[rk][j]
-                q, r = divmod(num, prev)
+                q, r = divmod(p * ri[j] - f * prow[j], prev)
                 assert not r, "Bareiss division must be exact"
                 ri[j] = q
         prev = p
-        rk += 1
+        pivots.append(col)
         col += 1
-    return rk
+    return rows[: len(pivots)], pivots
 
 
-def inverse(a: Matrix) -> Matrix:
-    n, m = mat_shape(a)
-    if n != m:
-        raise DimensionError("inverse of a non-square matrix")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def rref(a) -> list:
-    """Reduced row echelon form; returns list of pivot-row lists."""
-    rows = [[Fraction(x) for x in row] for row in a if any(row)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows if any(row)]
-
-
-def nullspace(a: Matrix) -> list:
-    """Basis of the right kernel, as a list of vectors."""
-    nrows, ncols = mat_shape(a)
-    if ncols == 0:
-        return []
-    rows = rref(a)
-    pivots = []
-    for row in rows:
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    free = [j for j in range(ncols) if j not in pivots]
+def _kernel(rows, pivots, ncols: int) -> list:
+    """Right-kernel basis of echelon rows: one vector per non-pivot column
+    j, with 1 at j and 0 at the other non-pivot columns."""
     basis = []
-    for j in free:
+    for j in sorted(set(range(ncols)) - set(pivots)):
         vec = [_ZERO] * ncols
         vec[j] = _ONE
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[j]
+        for row, p in zip(reversed(rows), reversed(pivots)):
+            s = sum((row[k] * vec[k] for k in range(p + 1, ncols) if vec[k]), _ZERO)
+            vec[p] = -s / row[p]
         basis.append(tuple(vec))
     return basis
 
 
-class EchelonBasis:
-    """Incremental row space with exact pivoting, for Krylov closures."""
+def rank(a) -> int:
+    """Exact rank: the number of echelon pivots."""
+    return len(_echelon(a)[1])
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list = []
-        self.pivots: list = []
 
-    def reduce(self, vec) -> list:
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(self.width):
-                    v[j] -= f * row[j]
-        return v
+def nullspace(a: Matrix) -> list:
+    """Basis of the right kernel, as a list of vectors."""
+    return _kernel(*_echelon(a), mat_shape(a)[1])
 
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        f = v[piv]
-        v = [x / f for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+def inverse(a: Matrix) -> Matrix:
+    """A^-1, read off the kernel of [A | -I]: its vector for column n+j is
+    (A^-1 e_j, e_j).  A is invertible iff the pivots are exactly 0..n-1."""
+    n, m = mat_shape(a)
+    if n != m:
+        raise DimensionError("inverse of a non-square matrix")
+    aug = [list(row) + [-1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    rows, pivots = _echelon(aug)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    cols = _kernel(rows, pivots, 2 * n)
+    return tuple(tuple(v[i] for v in cols) for i in range(n))
 
 
 def charpoly(a: Matrix) -> list:

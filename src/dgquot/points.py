@@ -78,23 +78,22 @@ def is_stable(pt: MatrixPoint) -> bool:
 
 def krylov_dimension_profile(pt: MatrixPoint) -> list:
     """Span dimension of the Krylov closure of the framing vector after each
-    round, stopping once the span is full or stops growing."""
-    n = pt.n
-    basis = linalg.EchelonBasis(n)
+    round, stopping once the span is full or stops growing.  A candidate
+    joins the spanning list when it raises the exact rank (`linalg.rank`);
+    the next round's candidates are the images of the vectors that joined."""
+    span: list = []
     dims = []
-    frontier = []
-    if basis.add(pt.vector):
-        frontier.append(pt.vector)
-    dims.append(basis.dim)
-    while frontier and basis.dim < n:
+    candidates = [pt.vector]
+    while candidates:
         new = []
-        for v in frontier:
-            for mat in pt.matrices:
-                w = linalg.mat_vec(mat, v)
-                if basis.add(w):
-                    new.append(w)
-        frontier = new
-        dims.append(basis.dim)
+        for w in candidates:
+            if linalg.rank(span + [w]) > len(span):
+                span.append(w)
+                new.append(w)
+        dims.append(len(span))
+        if len(span) == pt.n:
+            break
+        candidates = [linalg.mat_vec(mat, v) for v in new for mat in pt.matrices]
     return dims
 
 

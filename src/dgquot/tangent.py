@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from . import linalg
@@ -184,7 +185,10 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
                 pt.matrices[j], pt.matrices[i]
             ):
                 return None
-    for t in (1, 2, 3, 5, 7, 11):
+    # Point p goes to sum_k t^k p_k.  Two distinct points collide only at the
+    # at most m - 1 roots of a nonzero polynomial in t, so among C(n,2)(m-1)+1
+    # consecutive weights one separates all n points when they are distinct.
+    for t in range(1, comb(n, 2) * (m - 1) + 2):
         coeffs = [Fraction(t) ** k for k in range(m)]
         combo = linalg.zero_matrix(n, n)
         for c, mat in zip(coeffs, pt.matrices):

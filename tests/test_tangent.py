@@ -129,6 +129,19 @@ def test_support_detection(corpus):
     assert detect_reduced_support(bad) is None
 
 
+def test_support_detection_separates_points_that_collide_at_small_weights(presentations, corpus):
+    # Under sum_k t^k p_k one of these points meets the origin at each of
+    # t = 1, 2, 3, 5, 7 and 11; the weights must go on until all four separate.
+    src = corpus["k[x,y,z]"]
+    tuples = [(0, 0, 0), (2, -3, 1), (15, -8, 1), (77, -18, 1)]
+    pt = diag_point(tuples, src.relations, src.var_gens)
+    assert detect_reduced_support(pt) == sorted(tuple(F(x) for x in tup) for tup in tuples)
+    q = quot_tangent_check(matricize(presentations["k[x,y,z]"], 4), pt)
+    assert q.oracle == (12, 12, 4)
+    assert q.cohomology.as_tuple() == (28, 12, 4)
+    assert q.checks and all(q.checks.values()) and q.ok
+
+
 def test_quot_tangent_checks(charts, corpus):
     src3 = corpus["k[x,y,z]"]
     origin = MatrixPoint(([[0]], [[0]], [[0]]), (F(1),))
