@@ -34,7 +34,10 @@ from .serialize import (
     poly_json,
     scalar_str,
 )
-from .tangent import chart_cohomology, quot_tangent_check
+from .tangent import _NotClassical, _oracle_check, chart_cohomology
+
+# importable from here as before: perfbench/tracing.py wraps it at this name
+from .tangent import quot_tangent_check  # noqa: F401
 
 
 class _Pipeline:
@@ -75,26 +78,35 @@ class _Pipeline:
         return self._derham[n]
 
 
-def _task_resolve(pipe: _Pipeline) -> dict:
-    pres = pipe.presentation
-    rep = check_d_squared(pres)
-    return {
+_WITNESS_TERMS = 3  # leading terms of a nonzero residual shown in a report
+
+
+def _leading_terms(p) -> list:
+    """The first terms of a nonzero residual, printed: a failure witness."""
+    return [str(type(p)({k: c})) for k, c in p.sorted_terms()[:_WITNESS_TERMS]]
+
+
+def _d_squared_result(rep, presentation: dict) -> dict:
+    failures = rep.failures()
+    result = {
         "status": "pass" if rep.ok else "fail",
         "d_squared_zero": rep.ok,
-        "failures": [name for name, _ in rep.failures()],
-        "presentation": free_presentation_json(pres),
+        "failures": [name for name, _ in failures],
+        "presentation": presentation,
     }
+    if failures:
+        result["residuals"] = {name: _leading_terms(p) for name, p in failures}
+    return result
+
+
+def _task_resolve(pipe: _Pipeline) -> dict:
+    pres = pipe.presentation
+    return _d_squared_result(check_d_squared(pres), free_presentation_json(pres))
 
 
 def _task_repify(pipe: _Pipeline) -> dict:
     chart = pipe.chart()
-    rep = check_chart_d_squared(chart)
-    return {
-        "status": "pass" if rep.ok else "fail",
-        "d_squared_zero": rep.ok,
-        "failures": [name for name, _ in rep.failures()],
-        "presentation": chart_presentation_json(chart),
-    }
+    return _d_squared_result(check_chart_d_squared(chart), chart_presentation_json(chart))
 
 
 def _task_h0(pipe: _Pipeline) -> dict:
@@ -129,17 +141,16 @@ def _task_tangent(pipe: _Pipeline) -> dict:
     rows = []
     ok = bool(pipe.manifest.points)
     for k, pt in enumerate(pipe.manifest.points):
-        classical, witness = is_classical_point(pt, chart)
-        if not classical:
-            rows.append({"point": k, "classical": False, "witness": str(witness)})
+        # chart_cohomology tests the point once; its guard names the witness
+        try:
+            report = chart_cohomology(chart, pt)
+        except _NotClassical as exc:
+            rows.append({"point": k, "classical": False, "witness": str(exc.witness)})
             ok = False
             continue
         stable = is_stable(pt)
         if stable:
-            quot = quot_tangent_check(chart, pt)
-            report = quot.cohomology
-        else:
-            report = chart_cohomology(chart, pt)
+            quot = _oracle_check(chart, pt, report, stable)
         entry = {
             "point": k,
             "classical": True,
@@ -171,7 +182,7 @@ def _task_form_check(pipe: _Pipeline) -> dict:
     phi = build_phi(dr)
     om = omega0(dr, phi)
     rep = close_check(dr, om)
-    return {
+    result = {
         "status": "pass" if rep.ok else "fail",
         "n": pipe.chart().n,
         "phi_monomials": len(phi.terms),
@@ -179,6 +190,10 @@ def _task_form_check(pipe: _Pipeline) -> dict:
         "dint_omega0_zero": rep.dint_residual.is_zero(),
         "ddr_omega0_zero": rep.ddr_residual.is_zero(),
     }
+    for key, residual in (("dint", rep.dint_residual), ("ddr", rep.ddr_residual)):
+        if residual:
+            result[f"{key}_omega0_residual"] = _leading_terms(residual)
+    return result
 
 
 def _task_pair(pipe: _Pipeline) -> dict:

@@ -4,6 +4,15 @@ Each free generator g becomes an n x n block of entry generators g[mu,nu]
 of the same internal degree; a framing row y[1]..y[n] of degree 0 is
 adjoined with zero differential.  Words map to entry-matrix products taken
 left to right, so the free differential transports to the chart.
+
+The chart differential is built on demand.  `matricize` lays out the blocks,
+checks the degree of every free differential and stores the framing zeros;
+the block of a base generator is matricized the first time any of its
+entries is read, and then all n^2 entries are kept.  Tasks that read only
+some blocks (the classical truncation, the 2-form and its closure) never pay
+for the rest, chiefly the degree -2 correction blocks t[x_j,l]; iterating
+over `chart.diff` (d^2 checks, tangent complexes, serialization) builds all
+of them.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
+from .algebra import GenSym, GradedPoly, NCPoly, _LazyImages, extend_derivation, poly_sum
 from .errors import DimensionError, StructureError
 from .resolution import FreePresentation
 
@@ -128,25 +137,61 @@ class ChartPresentation:
         return -self.entry_matrix(pres.commutators[(j, i)])
 
     def word_matrix(self, word) -> CDGAMatrix:
-        out = CDGAMatrix.identity(self.n)
-        for g in word:
-            out = out @ self.entry_matrix(g)
-        return out
+        return _word_matrix(self.blocks, self.n, word)
 
     def poly_matrix(self, p: NCPoly) -> CDGAMatrix:
         """Matrix image of a free-layer polynomial."""
-        zero = GradedPoly.zero()
-        acc = CDGAMatrix([[zero] * self.n for _ in range(self.n)])
-        for w, c in sorted(p.terms.items(), key=lambda wc: tuple(g.sort_key for g in wc[0])):
-            acc = acc + self.word_matrix(w).scale(c)
-        return acc
+        return _poly_matrix(self.blocks, self.n, p)
+
+
+def _word_matrix(blocks: dict, n: int, word) -> CDGAMatrix:
+    out = CDGAMatrix.identity(n)
+    for g in word:
+        out = out @ CDGAMatrix.from_gens(blocks[g.name])
+    return out
+
+
+def _poly_matrix(blocks: dict, n: int, p: NCPoly) -> CDGAMatrix:
+    zero = GradedPoly.zero()
+    acc = CDGAMatrix([[zero] * n for _ in range(n)])
+    for w, c in sorted(p.terms.items(), key=lambda wc: tuple(g.sort_key for g in wc[0])):
+        acc = acc + _word_matrix(blocks, n, w).scale(c)
+    return acc
+
+
+class _ChartDiff(_LazyImages):
+    """Chart differentials, matricized one base generator's block at a time."""
+
+    def __init__(self, images: dict, blocks: dict, framing: tuple):
+        super().__init__((y, GradedPoly.zero()) for y in framing)
+        self._images = images  # base GenSym -> free differential (NCPoly)
+        self._blocks = blocks
+        self._owner = {e: g for g in images for row in blocks[g.name] for e in row}
+
+    def _domain(self):
+        return self._owner
+
+    def _build(self, key):
+        base = self._owner[key]
+        block = self._blocks[base.name]
+        mat = _poly_matrix(self._blocks, len(block), self._images[base])
+        for row, images in zip(block, mat.entries):
+            for g, image in zip(row, images):
+                # an entry already stored (or replaced by a caller) is kept
+                self.setdefault(g, image)
 
 
 def matricize(pres: FreePresentation, n: int) -> ChartPresentation:
+    """Framed rank-n chart of pres; entry differentials are built on first read."""
     if n < 1:
         raise StructureError("matricization rank must be >= 1")
-    blocks = {}
+    images, blocks = {}, {}
     for g in pres.generators:
+        image = pres.diff[g]
+        # word matrices are homogeneous, so this is the chart's degree check
+        if image and image.internal_degree() != g.degree + 1:
+            raise StructureError(f"differential of {g.name} is not degree +1")
+        images[g] = image
         blocks[g.name] = [
             [
                 GenSym(f"{g.name}[{mu + 1},{nu + 1}]", g.degree, KIND_ENTRY)
@@ -155,25 +200,10 @@ def matricize(pres: FreePresentation, n: int) -> ChartPresentation:
             for mu in range(n)
         ]
     framing = tuple(GenSym(f"y[{mu + 1}]", 0, KIND_FRAMING) for mu in range(n))
-    chart = ChartPresentation(source=pres, n=n, blocks=blocks, framing=framing)
-
-    diff = {}
-    for g in pres.generators:
-        image = pres.diff[g]
-        mat = chart.poly_matrix(image)
-        block = blocks[g.name]
-        for mu in range(n):
-            for nu in range(n):
-                diff[block[mu][nu]] = mat[mu][nu]
-    for y in framing:
-        diff[y] = GradedPoly.zero()
-    chart.diff = diff
-
-    for g, image in diff.items():
-        if image:
-            if image.internal_degree() != g.degree + 1:
-                raise StructureError(f"differential of {g.name} is not degree +1")
-    return chart
+    return ChartPresentation(
+        source=pres, n=n, blocks=blocks, framing=framing,
+        diff=_ChartDiff(images, blocks, framing),
+    )
 
 
 def h0_ideal(chart: ChartPresentation) -> list:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import StructureError
-from .points import MatrixPoint, chart_assignment, is_classical_point
+from .points import MatrixPoint, chart_assignment, is_classical_point, is_stable
 from .repify import ChartPresentation
 
 
@@ -66,24 +66,32 @@ def _linear_row(poly, assign, columns, col_index):
     return row
 
 
+class _NotClassical(StructureError):
+    """The classical-point guard failed; carries the failing equation."""
+
+    def __init__(self, witness):
+        super().__init__(
+            f"tangent complex requires a classical point; failing equation: {witness}"
+        )
+        self.witness = witness
+
+
 def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComplex:
     ok, witness = is_classical_point(pt, chart)
     if not ok:
-        raise StructureError(
-            f"tangent complex requires a classical point; failing equation: {witness}"
-        )
+        raise _NotClassical(witness)
     assign = chart_assignment(chart, pt)
     basis0 = chart.generators_of_degree(0)
     basis1 = chart.generators_of_degree(-1)
     basis2 = chart.generators_of_degree(-2)
     idx0 = {g: i for i, g in enumerate(basis0)}
     idx1 = {g: i for i, g in enumerate(basis1)}
-    d0 = tuple(
-        tuple(_linear_row(chart.diff[g], assign, basis0, idx0)) for g in basis1
-    )
-    d1 = tuple(
-        tuple(_linear_row(chart.diff[g], assign, basis1, idx1)) for g in basis2
-    )
+    # read (and so build) every image before the rows exist: building a
+    # block while d0 is held raises the peak memory of the task
+    images1 = [chart.diff[g] for g in basis1]
+    images2 = [chart.diff[g] for g in basis2]
+    d0 = tuple(tuple(_linear_row(p, assign, basis0, idx0)) for p in images1)
+    d1 = tuple(tuple(_linear_row(p, assign, basis1, idx1)) for p in images2)
     return TangentComplex(basis0, basis1, basis2, d0, d1)
 
 
@@ -174,7 +182,10 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
     points: simultaneous diagonalization via a generic combination.
 
     Returns the sorted list of coordinate tuples, or None when the support
-    is not (detectably) n distinct rational points.
+    is not (detectably) n distinct rational points.  It returns None at the
+    first weight whose combination has fewer than n rational eigenvalues or
+    is not diagonalizable; only a collision of distinct points moves on to
+    the next weight.
     """
     n, m = pt.n, pt.m
     if n == 1:
@@ -194,17 +205,23 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
         for c, mat in zip(coeffs, pt.matrices):
             combo = linalg.mat_add(combo, linalg.mat_scale(mat, c))
         roots = linalg.rational_roots(linalg.charpoly(combo))
-        if len(roots) != n or len(set(roots)) != n:
-            continue
-        support = []
-        ok = True
+        if len(roots) < n:
+            # every combination of n rational points has n rational eigenvalues
+            return None
+        eigenspaces = []
         for lam in sorted(set(roots)):
             shifted = linalg.mat_sub(combo, linalg.mat_scale(linalg.identity(n), lam))
             kernel = linalg.nullspace(shifted)
-            if len(kernel) != 1:
-                ok = False
-                break
-            vec = kernel[0]
+            if len(kernel) < roots.count(lam):
+                # a simultaneously diagonalizable family has every
+                # combination diagonalizable, so the support is not reduced
+                return None
+            eigenspaces.append(kernel)
+        if len(eigenspaces) != n:
+            continue  # two support points collide at this weight
+        support = []
+        ok = True
+        for (vec,) in eigenspaces:
             coords = []
             for mat in pt.matrices:
                 image = linalg.mat_vec(mat, vec)
@@ -246,9 +263,14 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
     points of affine m-space: h0 = n^2 + ext0, h1 = ext1, and
     h2_upper >= ext2 (equality when the truncation is complete).
     """
-    from .points import is_stable
+    return _oracle_check(chart, pt, chart_cohomology(chart, pt), is_stable(pt))
 
-    report = chart_cohomology(chart, pt)
+
+def _oracle_check(
+    chart: ChartPresentation, pt: MatrixPoint, report: CohomologyReport, stable: bool
+) -> QuotTangentReport:
+    """quot_tangent_check on a classical point whose cohomology and
+    stability the caller has already computed."""
     src = chart.source.source
     m, r, n = len(src.variables), len(src.relations), chart.n
 
@@ -256,7 +278,7 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
         return QuotTangentReport(report, None, None, {}, "no oracle: ambient ring has relations")
     if m > 4:
         return QuotTangentReport(report, None, None, {}, "no oracle: too many variables")
-    if not is_stable(pt):
+    if not stable:
         return QuotTangentReport(report, None, None, {}, "no oracle: point is not stable")
     support = detect_reduced_support(pt)
     if support is None or len(support) != n:

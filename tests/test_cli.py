@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dgquot import AlgebraInput, DgquotError, StructureError, build_resolution, matricize
+from dgquot import cli, points, tangent
 from dgquot.cli import main, run
 from dgquot.serialize import (
     chart_presentation_json,
@@ -185,3 +186,58 @@ def test_run_requires_tasks(tmp_path):
     # but a named subcommand works without manifest tasks
     out = tmp_path / "r.json"
     assert main(["resolve", "--manifest", str(path), "--out", str(out)]) == 0
+
+
+def test_tangent_task_tests_each_point_once(monkeypatch):
+    manifest = load_manifest(str(MANIFESTS / "affine3_n2.json"))
+    calls = {"is_classical_point": 0, "is_stable": 0}
+
+    def counting(name):
+        real = getattr(points, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        for module in (cli, tangent):
+            monkeypatch.setattr(module, name, counting(name))
+    report = run(manifest, ["tangent"], command="tangent")
+    assert report.ok and report.results[0]["points"][0]["oracle_checks"]
+    assert calls == {"is_classical_point": len(manifest.points), "is_stable": len(manifest.points)}
+
+
+def _corrupted_pipeline(manifest_name):
+    """A pipeline on the manifest whose free differential of the first
+    commutator generator has its sign flipped."""
+    pipe = cli._Pipeline(load_manifest(str(MANIFESTS / manifest_name)))
+    pres = pipe.presentation
+    a = pres.commutators[(0, 1)]
+    pres.diff[a] = -pres.diff[a]
+    return pipe
+
+
+def test_failed_checks_show_leading_residual_terms():
+    for task in (cli._task_resolve, cli._task_repify):
+        result = task(_corrupted_pipeline("affine3_n2.json"))
+        assert result["status"] == "fail" and result["failures"]
+        assert sorted(result["residuals"]) == sorted(result["failures"])
+        assert all(1 <= len(terms) <= 3 for terms in result["residuals"].values())
+        assert all(isinstance(t, str) and t != "0" for terms in result["residuals"].values() for t in terms)
+
+    pipe = cli._Pipeline(load_manifest(str(MANIFESTS / "fermat_n2.json")))
+    chart = pipe.chart()
+    a = chart.blocks[chart.source.commutators[(0, 1)].name][0][1]
+    chart.diff[a] = -chart.diff[a]
+    result = cli._task_form_check(pipe)
+    assert result["status"] == "fail" and not result["dint_omega0_zero"]
+    assert 1 <= len(result["dint_omega0_residual"]) <= 3
+    assert "ddr_omega0_residual" not in result
+
+    # passing reports carry no witness keys
+    for task in (cli._task_resolve, cli._task_repify, cli._task_form_check):
+        result = task(cli._Pipeline(load_manifest(str(MANIFESTS / "fermat_n1.json"))))
+        assert result["status"] == "pass"
+        assert not {"residuals", "dint_omega0_residual", "ddr_omega0_residual"} & set(result)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from dgquot import (
     MatrixPoint,
     StructureError,
     build_phi,
+    check_chart_d_squared,
     close_check,
     diag_point,
     gl_action,
@@ -128,6 +131,40 @@ def test_closure_rank_3(fermat_presentation):
     elapsed = time.perf_counter() - t0
     print(f"rank-3 closure check: {elapsed:.2f}s")
     assert rep.ok
+
+
+@pytest.mark.parametrize("n", [4, pytest.param(5, marks=pytest.mark.extended)])
+def test_closure_higher_rank(fermat_presentation, n):
+    assert close_check(DeRhamAlgebra(matricize(fermat_presentation, n))).ok
+
+
+def test_closure_builds_no_correction_block(fermat_presentation):
+    chart = matricize(fermat_presentation, 3)
+    dr = DeRhamAlgebra(chart)
+    assert close_check(dr).ok
+    built = set(dict.keys(chart.diff))  # the memo itself, without forcing it
+    corrections = fermat_presentation.corrections.values()
+    assert not {g for t in corrections for row in chart.blocks[t.name] for g in row} & built
+    commutator = chart.blocks[fermat_presentation.commutators[(0, 1)].name]
+    assert commutator[0][0] in built
+    assert dict.__len__(dr._dint_images) < 2 * len(chart.generators)
+
+
+def test_chart_and_derham_are_freed_by_reference_counting(fermat_presentation):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chart = matricize(fermat_presentation, 2)
+        dr = DeRhamAlgebra(chart)
+        assert close_check(dr).ok
+        assert check_chart_d_squared(chart).ok
+        assert len(dr._dint_images) == 2 * len(chart.generators)
+        refs = [weakref.ref(chart), weakref.ref(dr)]
+        del chart, dr
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pairing_at_rank_one_point(fermat_dr1):

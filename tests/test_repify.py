@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from dgquot import (
     AlgebraInput,
     CDGAMatrix,
     GradedPoly,
+    NCPoly,
     StructureError,
     build_resolution,
     check_chart_d_squared,
@@ -22,6 +24,39 @@ from dgquot import linalg
 def test_matricize_rank_validation(presentations):
     with pytest.raises(StructureError):
         matricize(presentations["k[x]"], 0)
+
+
+def _eager_diff(chart) -> dict:
+    """Every chart differential, built up front as matricize once did."""
+    pres = chart.source
+    diff = {}
+    for g in pres.generators:
+        mat = chart.poly_matrix(pres.diff[g])
+        block = chart.blocks[g.name]
+        for mu in range(chart.n):
+            for nu in range(chart.n):
+                diff[block[mu][nu]] = mat[mu][nu]
+    for y in chart.framing:
+        diff[y] = GradedPoly.zero()
+    return diff
+
+
+def test_lazy_chart_matches_eager_build(presentations):
+    for name, pres in presentations.items():
+        for n in (1, 2, 3):
+            chart = matricize(pres, n)
+            # read one block first, so the whole-map read sees a partial memo
+            h0_ideal(chart)
+            assert dict(chart.diff) == _eager_diff(chart), (name, n)
+            assert len(chart.diff) == len(chart.generators)
+
+
+def test_matricize_checks_every_degree_before_any_block_is_read(presentations):
+    pres = build_resolution(presentations["fermat"].source)
+    t = pres.corrections[(0, 0)]
+    pres.diff[t] = NCPoly.gen(pres.variables[0])  # degree 0; t needs degree -1
+    with pytest.raises(StructureError, match=re.escape(t.name)):
+        matricize(pres, 2)
 
 
 def test_rank_one_commutators_vanish(presentations):

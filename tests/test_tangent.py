@@ -142,6 +142,27 @@ def test_support_detection_separates_points_that_collide_at_small_weights(presen
     assert q.checks and all(q.checks.values()) and q.ok
 
 
+def test_support_detection_stops_at_a_nondiagonalizable_combination(monkeypatch):
+    # a stable point supported at one point of A^3 with multiplicity 5: the
+    # first weight already shows a 5-fold eigenvalue with a 1-dim eigenspace
+    from dgquot import linalg
+
+    n = 5
+    jordan = [[200 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    pt = MatrixPoint((jordan, zero, zero), tuple(F(int(i == n - 1)) for i in range(n)))
+    calls = []
+    real = linalg.rational_roots
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(linalg, "rational_roots", counted)
+    assert detect_reduced_support(pt) is None
+    assert len(calls) == 1
+
+
 def test_quot_tangent_checks(charts, corpus):
     src3 = corpus["k[x,y,z]"]
     origin = MatrixPoint(([[0]], [[0]], [[0]]), (F(1),))
