@@ -26,6 +26,7 @@ from .derham import (
 from .errors import (
     DgquotError,
     DimensionError,
+    NotClassicalError,
     ParseError,
     SingularMatrixError,
     StructureError,
@@ -78,6 +79,7 @@ __all__ = [
     "GradedPoly",
     "MatrixPoint",
     "NCPoly",
+    "NotClassicalError",
     "ParseError",
     "SingularMatrixError",
     "StructureError",

@@ -620,11 +620,12 @@ class _LazyImages(dict):
 
     A lookup that misses (by ``[]``, ``get`` or ``in``) calls ``_build(key)``,
     which stores the image of key (and may store others with it) or raises
-    KeyError for a key outside the map; a hit stays a plain dict lookup.  Reads of the map as a whole --
-    iteration, the views, len and equality -- first build every key of
-    ``_domain()``, so they see the same map an eager build would.  Subclasses
-    hold only what building needs, never the object that owns the map, so
-    the owner is freed by reference counting alone.
+    KeyError for a key outside the map; a hit stays a plain dict lookup.
+    Reads of the map as a whole -- iteration, the views, len and equality --
+    first build every key of ``_domain()``, so they see the same map an
+    eager build would.  Subclasses hold only what building needs, never the
+    object that owns the map, so the owner is freed by reference counting
+    alone.
     """
 
     _complete = False

@@ -15,13 +15,14 @@ import time
 from .algebra import GradedPoly
 from .derham import (
     DeRhamAlgebra,
+    _require_fermat,
     build_phi,
     close_check,
     invariance_check,
     omega0,
     pairing_at,
 )
-from .errors import DgquotError
+from .errors import DgquotError, NotClassicalError, StructureError
 from .points import is_classical_point, is_stable, matrices_satisfy
 from .repify import check_chart_d_squared, h0_ideal, matricize
 from .resolution import AlgebraInput, build_resolution, check_d_squared
@@ -31,13 +32,12 @@ from .serialize import (
     chart_presentation_json,
     free_presentation_json,
     load_manifest,
-    poly_json,
     scalar_str,
 )
-from .tangent import _NotClassical, _oracle_check, chart_cohomology
+from .tangent import quot_tangent_check
 
-# importable from here as before: perfbench/tracing.py wraps it at this name
-from .tangent import quot_tangent_check  # noqa: F401
+# unused here, but perfbench/tracing.py wraps and restores this name
+from .tangent import chart_cohomology  # noqa: F401
 
 
 class _Pipeline:
@@ -141,16 +141,13 @@ def _task_tangent(pipe: _Pipeline) -> dict:
     rows = []
     ok = bool(pipe.manifest.points)
     for k, pt in enumerate(pipe.manifest.points):
-        # chart_cohomology tests the point once; its guard names the witness
         try:
-            report = chart_cohomology(chart, pt)
-        except _NotClassical as exc:
+            quot = quot_tangent_check(chart, pt)
+        except NotClassicalError as exc:
             rows.append({"point": k, "classical": False, "witness": str(exc.witness)})
             ok = False
             continue
-        stable = is_stable(pt)
-        if stable:
-            quot = _oracle_check(chart, pt, report, stable)
+        report = quot.cohomology
         entry = {
             "point": k,
             "classical": True,
@@ -161,18 +158,13 @@ def _task_tangent(pipe: _Pipeline) -> dict:
             "dims": list(report.dims),
             "ranks": list(report.ranks),
         }
-        if stable:
-            if quot.has_oracle:
-                entry["oracle"] = list(quot.oracle)
-                entry["oracle_checks"] = quot.checks
-                if not quot.ok:
-                    ok = False
-            else:
-                entry["oracle"] = None
-                entry["oracle_note"] = quot.note
+        if quot.has_oracle:
+            entry["oracle"] = list(quot.oracle)
+            entry["oracle_checks"] = quot.checks
+            ok = ok and quot.ok
         else:
             entry["oracle"] = None
-            entry["oracle_note"] = "no oracle: point is not stable"
+            entry["oracle_note"] = quot.note
         rows.append(entry)
     return {"status": "pass" if ok else "fail", "points": rows}
 
@@ -202,12 +194,12 @@ def _task_pair(pipe: _Pipeline) -> dict:
     rows = []
     ok = bool(pipe.manifest.points)
     for k, pt in enumerate(pipe.manifest.points):
-        classical, witness = is_classical_point(pt, dr.chart)
-        if not classical:
-            rows.append({"point": k, "classical": False, "witness": str(witness)})
+        try:
+            rep = pairing_at(dr, om, pt)
+        except NotClassicalError as exc:
+            rows.append({"point": k, "classical": False, "witness": str(exc.witness)})
             ok = False
             continue
-        rep = pairing_at(dr, om, pt)
         entries = {}
         for i, rg in enumerate(rep.rows):
             for j, cg in enumerate(rep.cols):
@@ -241,9 +233,9 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
     checks["derham_axioms"] = axiom_ok
     # the traced 2-form, when the chart is the affine quintic
     try:
-        build_phi(dr)
+        _require_fermat(dr.chart)
         is_fermat = True
-    except DgquotError:
+    except StructureError:
         is_fermat = False
     if is_fermat:
         for n in ranks:

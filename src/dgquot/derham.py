@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import linalg
 from .algebra import GenSym, GradedPoly, _LazyImages, extend_derivation, poly_sum
-from .errors import StructureError
+from .errors import NotClassicalError, StructureError
 from .parser import parse_poly
 from .points import MatrixPoint, chart_assignment, is_classical_point
 from .repify import CDGAMatrix, ChartPresentation
@@ -201,9 +201,7 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     chart = dr.chart
     ok, witness = is_classical_point(pt, chart)
     if not ok:
-        raise StructureError(
-            f"pairing requires a classical point; failing equation: {witness}"
-        )
+        raise NotClassicalError("pairing", witness)
     assign = chart_assignment(chart, pt)
     rows = chart.generators_of_degree(0)
     cols = chart.generators_of_degree(-1)

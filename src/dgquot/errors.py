@@ -9,6 +9,14 @@ class StructureError(DgquotError):
     """Mixed generator tables, missing derivation images, bad constructions."""
 
 
+class NotClassicalError(StructureError):
+    """A point fails the classical-point test; carries the failing equation."""
+
+    def __init__(self, what: str, witness):
+        super().__init__(f"{what} requires a classical point; failing equation: {witness}")
+        self.witness = witness
+
+
 class DimensionError(DgquotError):
     """Matrix or point dimensions inconsistent with the ambient presentation."""
 

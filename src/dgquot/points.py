@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import GradedPoly
-from .errors import DimensionError, SingularMatrixError, StructureError
+from .errors import DimensionError, StructureError
 from .repify import ChartPresentation, h0_ideal
 
 

@@ -5,23 +5,22 @@ complex spanned by duals of generators in degrees 0, -1, -2, with the
 linearized differential.  Because every chart differential is multilinear
 in negative-degree generators, linearization is exact.
 
-The independent oracle computes Ext^i of a distinct-reduced-point ideal in
-affine m-space against the skyscraper quotient by building the Koszul
-resolution, applying Hom(-, point) and taking exact ranks.  It never sees
-the chart; the comparison realizes the expected dimension bookkeeping with
-the n^2 gauge offset in degree 0.
+The independent oracle gives Ext^i of a distinct-reduced-point ideal in
+affine m-space against the skyscraper quotient in closed form, from the
+Koszul resolution of each point's maximal ideal.  It never sees the chart;
+the comparison realizes the expected dimension bookkeeping with the n^2
+gauge offset in degree 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Optional
 
 from . import linalg
-from .errors import StructureError
+from .errors import NotClassicalError, StructureError
 from .points import MatrixPoint, chart_assignment, is_classical_point, is_stable
 from .repify import ChartPresentation
 
@@ -66,20 +65,10 @@ def _linear_row(poly, assign, columns, col_index):
     return row
 
 
-class _NotClassical(StructureError):
-    """The classical-point guard failed; carries the failing equation."""
-
-    def __init__(self, witness):
-        super().__init__(
-            f"tangent complex requires a classical point; failing equation: {witness}"
-        )
-        self.witness = witness
-
-
 def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComplex:
     ok, witness = is_classical_point(pt, chart)
     if not ok:
-        raise _NotClassical(witness)
+        raise NotClassicalError("tangent complex", witness)
     assign = chart_assignment(chart, pt)
     basis0 = chart.generators_of_degree(0)
     basis1 = chart.generators_of_degree(-1)
@@ -120,61 +109,17 @@ def koszul_ext_oracle(m: int, k_points: int):
     """(ext0, ext1, ext2) for the ideal of k_points distinct reduced points
     in affine m-space, against the direct sum of their skyscrapers.
 
-    Contributions are local and translation invariant, so one point is
-    resolved explicitly (Koszul complex of its maximal ideal, Hom into the
-    point, exact ranks) and the result is scaled by the point count.
+    The Koszul complex of a point's maximal ideal is a minimal free
+    resolution: every differential has entries +-(x_i - p_i), which vanish
+    at the point, so Hom into the point kills every map and
+    Ext^i = Hom(Lambda^(i+1) k^m, k) has dimension C(m, i + 1).
+    Contributions are local, so the result scales by the point count.
     """
     if m < 1 or m > 4:
         raise StructureError("oracle supports 1 <= m <= 4 variables")
     if k_points < 1:
         raise StructureError("oracle needs at least one point")
-
-    # Koszul resolution of the point ideal: P_j = Lambda^(j+1) k[x]^m, with
-    # differential entries +-(x_i - p_i).  Hom(-, skyscraper) evaluates
-    # every entry at p.  Entries are kept as linear polynomials
-    # {None: const, i: coeff of x_i} and evaluated, not shortcut to zero.
-    point = [Fraction(0)] * m
-
-    def entry_eval(poly):
-        val = poly.get(None, Fraction(0))
-        for i, c in poly.items():
-            if i is not None:
-                val += c * point[i]
-        return val
-
-    def koszul_matrix(j):
-        # map Lambda^j -> Lambda^(j-1), evaluated at the point
-        rows = list(combinations(range(m), j - 1))
-        cols = list(combinations(range(m), j))
-        row_index = {s: k for k, s in enumerate(rows)}
-        mat = [[Fraction(0)] * len(cols) for _ in rows]
-        for cidx, subset in enumerate(cols):
-            for pos, i in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1 :]
-                entry = {i: Fraction(1), None: -point[i]}  # x_i - p_i
-                mat[row_index[rest]][cidx] += (-1) ** pos * entry_eval(entry)
-        return mat
-
-    hom_dims = [len(list(combinations(range(m), j + 1))) for j in range(m + 1)]
-    # Hom(P_(j-1), k) -> Hom(P_j, k) is the transpose of P_j -> P_(j-1),
-    # which is the Koszul map Lambda^(j+1) -> Lambda^j; transposing does
-    # not change ranks.
-    ranks = []
-    for j in range(1, m + 1):
-        mat = koszul_matrix(j + 1)
-        ranks.append(linalg.rank(mat) if mat and mat[0] else 0)
-    ranks.append(0)
-
-    exts = []
-    for i in range(3):
-        if i > m:
-            exts.append(0)
-            continue
-        dim = hom_dims[i] if i < len(hom_dims) else 0
-        into = ranks[i - 1] if i >= 1 else 0
-        out = ranks[i] if i < len(ranks) else 0
-        exts.append(max(dim - into - out, 0))
-    return tuple(e * k_points for e in exts)
+    return tuple(k_points * comb(m, i + 1) for i in range(3))
 
 
 def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
@@ -261,34 +206,28 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
 
     Expected relations at a stable classical point over n distinct reduced
     points of affine m-space: h0 = n^2 + ext0, h1 = ext1, and
-    h2_upper >= ext2 (equality when the truncation is complete).
+    h2_upper >= ext2 (equality when the truncation is complete).  Raises
+    NotClassicalError when the point is not classical.
     """
-    return _oracle_check(chart, pt, chart_cohomology(chart, pt), is_stable(pt))
-
-
-def _oracle_check(
-    chart: ChartPresentation, pt: MatrixPoint, report: CohomologyReport, stable: bool
-) -> QuotTangentReport:
-    """quot_tangent_check on a classical point whose cohomology and
-    stability the caller has already computed."""
+    report = chart_cohomology(chart, pt)
     src = chart.source.source
     m, r, n = len(src.variables), len(src.relations), chart.n
 
-    if r > 0:
-        return QuotTangentReport(report, None, None, {}, "no oracle: ambient ring has relations")
-    if m > 4:
-        return QuotTangentReport(report, None, None, {}, "no oracle: too many variables")
-    if not stable:
-        return QuotTangentReport(report, None, None, {}, "no oracle: point is not stable")
-    support = detect_reduced_support(pt)
-    if support is None or len(support) != n:
-        return QuotTangentReport(
-            report, None, None, {}, "no oracle: support is not n distinct rational points"
-        )
-    ext = koszul_ext_oracle(m, n)
-    checks = {
-        "h0": report.h0 == n * n + ext[0],
-        "h1": report.h1 == ext[1],
-        "h2": (report.h2_upper == ext[2]) if report.h2_exact else (report.h2_upper >= ext[2]),
-    }
-    return QuotTangentReport(report, ext, len(support), checks)
+    if not is_stable(pt):
+        note = "no oracle: point is not stable"
+    elif r > 0:
+        note = "no oracle: ambient ring has relations"
+    elif m > 4:
+        note = "no oracle: too many variables"
+    else:
+        support = detect_reduced_support(pt)
+        if support is not None and len(support) == n:
+            ext = koszul_ext_oracle(m, n)
+            checks = {
+                "h0": report.h0 == n * n + ext[0],
+                "h1": report.h1 == ext[1],
+                "h2": report.h2_upper == ext[2] if report.h2_exact else report.h2_upper >= ext[2],
+            }
+            return QuotTangentReport(report, ext, len(support), checks)
+        note = "no oracle: support is not n distinct rational points"
+    return QuotTangentReport(report, None, None, {}, note)

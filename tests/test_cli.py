@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dgquot import AlgebraInput, DgquotError, StructureError, build_resolution, matricize
-from dgquot import cli, points, tangent
+from dgquot import cli, derham, points, tangent
 from dgquot.cli import main, run
 from dgquot.serialize import (
     chart_presentation_json,
@@ -207,6 +207,22 @@ def test_tangent_task_tests_each_point_once(monkeypatch):
     report = run(manifest, ["tangent"], command="tangent")
     assert report.ok and report.results[0]["points"][0]["oracle_checks"]
     assert calls == {"is_classical_point": len(manifest.points), "is_stable": len(manifest.points)}
+
+
+def test_pair_task_tests_each_point_once(monkeypatch):
+    manifest = load_manifest(str(MANIFESTS / "fermat_n2.json"))
+    calls = []
+    real = points.is_classical_point
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, derham):
+        monkeypatch.setattr(module, "is_classical_point", counting)
+    report = run(manifest, ["pair"], command="pair")
+    assert report.ok and len(manifest.points) == len(report.results[0]["points"]) > 0
+    assert len(calls) == len(manifest.points)
 
 
 def _corrupted_pipeline(manifest_name):

@@ -9,6 +9,7 @@ from dgquot import (
     DeRhamAlgebra,
     GradedPoly,
     MatrixPoint,
+    NotClassicalError,
     StructureError,
     build_phi,
     check_chart_d_squared,
@@ -16,6 +17,7 @@ from dgquot import (
     diag_point,
     gl_action,
     invariance_check,
+    is_classical_point,
     matricize,
     omega0,
     pairing_at,
@@ -193,8 +195,11 @@ def test_pairing_at_rank_one_point(fermat_dr1):
 def test_pairing_rejects_nonclassical(fermat_dr1):
     om = omega0(fermat_dr1)
     origin = MatrixPoint(([[0]], [[0]], [[0]], [[0]]), (F(1),))
-    with pytest.raises(StructureError):
+    with pytest.raises(NotClassicalError) as info:
         pairing_at(fermat_dr1, om, origin)
+    ok, witness = is_classical_point(origin, fermat_dr1.chart)
+    assert not ok and info.value.witness == witness
+    assert isinstance(info.value, StructureError)
 
 
 def test_pairing_rank_invariant_under_conjugation(fermat_dr2, corpus):

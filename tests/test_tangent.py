@@ -6,16 +6,19 @@ import pytest
 
 from dgquot import (
     MatrixPoint,
+    NotClassicalError,
     StructureError,
     chart_cohomology,
     cohomology_dims,
     diag_point,
     gl_action,
+    is_classical_point,
     koszul_ext_oracle,
     matricize,
     quot_tangent_check,
     tangent_complex_at,
 )
+from dgquot import linalg
 from dgquot.tangent import detect_reduced_support
 from tests.test_points import rand_invertible
 
@@ -66,8 +69,13 @@ def test_two_distinct_points_rank_two(charts, corpus):
 def test_nonclassical_point_rejected(charts):
     chart = charts[("k[x,y]", 2)]
     pt = MatrixPoint(([[0, 1], [0, 0]], [[0, 0], [1, 0]]), (F(1), F(0)))
-    with pytest.raises(StructureError):
+    with pytest.raises(NotClassicalError) as info:
         tangent_complex_at(chart, pt)
+    ok, witness = is_classical_point(pt, chart)
+    assert not ok and info.value.witness == witness
+    assert isinstance(info.value, StructureError)
+    with pytest.raises(NotClassicalError):
+        quot_tangent_check(chart, pt)
 
 
 def test_euler_characteristic_point_independent(charts, corpus):
@@ -98,7 +106,54 @@ def test_cohomology_invariant_under_conjugation(charts, corpus):
         assert chart_cohomology(chart, moved).as_tuple() == base
 
 
+def koszul_ext_reference(m, k_points):
+    """The oracle computed the long way: build the Koszul resolution of one
+    point's maximal ideal, apply Hom(-, point), take exact ranks."""
+    point = [F(0)] * m
+
+    def entry_eval(poly):
+        val = poly.get(None, F(0))
+        for i, c in poly.items():
+            if i is not None:
+                val += c * point[i]
+        return val
+
+    def koszul_matrix(j):
+        # map Lambda^j -> Lambda^(j-1), evaluated at the point
+        rows = list(combinations(range(m), j - 1))
+        cols = list(combinations(range(m), j))
+        row_index = {s: k for k, s in enumerate(rows)}
+        mat = [[F(0)] * len(cols) for _ in rows]
+        for cidx, subset in enumerate(cols):
+            for pos, i in enumerate(subset):
+                rest = subset[:pos] + subset[pos + 1 :]
+                entry = {i: F(1), None: -point[i]}  # x_i - p_i
+                mat[row_index[rest]][cidx] += (-1) ** pos * entry_eval(entry)
+        return mat
+
+    hom_dims = [len(list(combinations(range(m), j + 1))) for j in range(m + 1)]
+    ranks = []
+    for j in range(1, m + 1):
+        mat = koszul_matrix(j + 1)
+        ranks.append(linalg.rank(mat) if mat and mat[0] else 0)
+    ranks.append(0)
+
+    exts = []
+    for i in range(3):
+        if i > m:
+            exts.append(0)
+            continue
+        dim = hom_dims[i] if i < len(hom_dims) else 0
+        into = ranks[i - 1] if i >= 1 else 0
+        out = ranks[i] if i < len(ranks) else 0
+        exts.append(max(dim - into - out, 0))
+    return tuple(e * k_points for e in exts)
+
+
 def test_koszul_oracle_values():
+    for m in range(1, 5):
+        for k in range(1, 13):
+            assert koszul_ext_oracle(m, k) == koszul_ext_reference(m, k), (m, k)
     assert koszul_ext_oracle(3, 1) == (3, 3, 1)
     assert koszul_ext_oracle(1, 1) == (1, 0, 0)
     assert koszul_ext_oracle(3, 2) == (6, 6, 2)
@@ -193,6 +248,11 @@ def test_quot_tangent_no_oracle_cases(charts, corpus):
     rep = diag_point([(1, 2, 3), (1, 2, 3)], src3.relations, src3.var_gens)
     q2 = quot_tangent_check(charts[("k[x,y,z]", 2)], rep)
     assert not q2.has_oracle and "stable" in q2.note
+    # an unstable point on a ring with relations: stability is tested first
+    src = corpus["sphere"]
+    sph = diag_point([(1, 0, 0), (1, 0, 0)], src.relations, src.var_gens)
+    q3 = quot_tangent_check(charts[("sphere", 2)], sph)
+    assert not q3.has_oracle and q3.note == "no oracle: point is not stable"
 
 
 def test_affine4_truncation_is_upper_bound(presentations):
