@@ -430,47 +430,6 @@ class GradedPoly(_TermMap):
                 del acc[key]
         return GradedPoly(acc, _raw=True)
 
-    def linear_part(self, pt: Mapping) -> dict:
-        """First-order term at pt, as a map generator -> coefficient.
-
-        Degree-0 generators are expanded around their assigned values;
-        negative-degree generators are coordinates vanishing at the point.
-        """
-        out: dict = {}
-
-        def add(g, c):
-            s = out.get(g, _ZERO) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-
-        for m, c in self.terms.items():
-            neg = [(g, e) for g, e in m if g.degree != 0 or g.dform]
-            pos = [(g, e) for g, e in m if g.degree == 0 and not g.dform]
-            for g, _ in pos:
-                if g not in pt:
-                    raise StructureError(f"unassigned degree-0 generator {g.name!r}")
-            nneg = sum(e for _, e in neg)
-            if nneg >= 2:
-                continue
-            if nneg == 1:
-                val = c
-                for g, e in pos:
-                    val = val * _coeff(pt[g]) ** e
-                if val:
-                    add(neg[0][0], val)
-                continue
-            # pure degree 0: one partial derivative per generator
-            for k, (g, e) in enumerate(pos):
-                val = c * e
-                for l, (h, f) in enumerate(pos):
-                    ex = f - 1 if l == k else f
-                    val = val * _coeff(pt[h]) ** ex
-                if val:
-                    add(g, val)
-        return out
-
 
 class NCPoly(_TermMap):
     """Free associative polynomial: finite map from words to rationals."""

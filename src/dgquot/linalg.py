@@ -68,10 +68,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rb, cb = mat_shape(b)
     if ca != rb:
         raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt) for row in a
-    )
+    # each output row combines the rows of b, skipping zero entries of a and b
+    b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [_ZERO] * cb
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for k, y in b_row:
+                    acc[k] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

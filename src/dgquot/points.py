@@ -151,16 +151,20 @@ def evaluate_relation_matrix(f: GradedPoly, variables, matrices) -> linalg.Matri
     return acc
 
 
+def matrices_commute(matrices) -> bool:
+    """Every pair of the matrices commutes."""
+    return all(
+        linalg.mat_mul(a, b) == linalg.mat_mul(b, a)
+        for i, a in enumerate(matrices)
+        for b in matrices[i + 1 :]
+    )
+
+
 def matrices_satisfy(source, matrices) -> bool:
     """Direct matrix arithmetic: pairwise commutators and all relations
     vanish.  Independent of the symbolic truncation-ideal route."""
-    m = len(matrices)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ab = linalg.mat_mul(matrices[i], matrices[j])
-            ba = linalg.mat_mul(matrices[j], matrices[i])
-            if ab != ba:
-                return False
+    if not matrices_commute(matrices):
+        return False
     var_gens = source.var_gens
     for f in source.relations:
         if not linalg.is_zero_matrix(evaluate_relation_matrix(f, var_gens, matrices)):

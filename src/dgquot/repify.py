@@ -11,8 +11,7 @@ the block of a base generator is matricized the first time any of its
 entries is read, and then all n^2 entries are kept.  Tasks that read only
 some blocks (the classical truncation, the 2-form and its closure) never pay
 for the rest, chiefly the degree -2 correction blocks t[x_j,l]; iterating
-over `chart.diff` (d^2 checks, tangent complexes, serialization) builds all
-of them.
+over `chart.diff` (d^2 checks, serialization) builds all of them.
 """
 
 from __future__ import annotations

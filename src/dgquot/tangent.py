@@ -2,8 +2,13 @@
 
 The tangent complex of a chart at a classical point is the three-term
 complex spanned by duals of generators in degrees 0, -1, -2, with the
-linearized differential.  Because every chart differential is multilinear
-in negative-degree generators, linearization is exact.
+linearized differential.  It is read off the free differential at the
+point's matrices X, without reading any chart block: a word w of d(g) with
+coefficient c contributes c * prefix(X) . delta . suffix(X) at its one
+negative-degree letter, or at each letter when all its letters have
+degree 0; words with two or more negative letters contribute nothing.  The
+chart product of a word is multilinear in its negative-degree letters, and
+an odd letter among even ones carries no Koszul sign, so this is exact.
 
 The independent oracle gives Ext^i of a distinct-reduced-point ideal in
 affine m-space against the skyscraper quotient in closed form, from the
@@ -16,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Optional
 
 from . import linalg
 from .errors import NotClassicalError, StructureError
-from .points import MatrixPoint, chart_assignment, is_classical_point, is_stable
+from .points import MatrixPoint, is_classical_point, is_stable, matrices_commute
 from .repify import ChartPresentation
 
 
@@ -56,32 +62,51 @@ class CohomologyReport:
         return (self.h0, self.h1, self.h2_upper)
 
 
-def _linear_row(poly, assign, columns, col_index):
-    row = [Fraction(0)] * len(columns)
-    for g, c in poly.linear_part(assign).items():
-        idx = col_index.get(g)
-        if idx is not None:
-            row[idx] = c
-    return row
-
-
 def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComplex:
     ok, witness = is_classical_point(pt, chart)
     if not ok:
         raise NotClassicalError("tangent complex", witness)
-    assign = chart_assignment(chart, pt)
-    basis0 = chart.generators_of_degree(0)
-    basis1 = chart.generators_of_degree(-1)
-    basis2 = chart.generators_of_degree(-2)
-    idx0 = {g: i for i, g in enumerate(basis0)}
-    idx1 = {g: i for i, g in enumerate(basis1)}
-    # read (and so build) every image before the rows exist: building a
-    # block while d0 is held raises the peak memory of the task
-    images1 = [chart.diff[g] for g in basis1]
-    images2 = [chart.diff[g] for g in basis2]
-    d0 = tuple(tuple(_linear_row(p, assign, basis0, idx0)) for p in images1)
-    d1 = tuple(tuple(_linear_row(p, assign, basis1, idx1)) for p in images2)
+    values = dict(zip(chart.source.variables, pt.matrices))
+    basis0, basis1, basis2 = (chart.generators_of_degree(k) for k in (0, -1, -2))
+    d0 = _linearized_rows(chart, values, -1, basis0)
+    d1 = _linearized_rows(chart, values, -2, basis1)
     return TangentComplex(basis0, basis1, basis2, d0, d1)
+
+
+def _linearized_rows(chart: ChartPresentation, values: dict, degree: int, columns: tuple) -> tuple:
+    """Linearized differential of the degree-`degree` entry generators, over
+    `columns`.  For a word term c * P . delta . S, entry (mu, nu) of the
+    block gets c * P[mu][a] * S[b][nu] in the column of the letter's entry
+    [a, b]."""
+    n = chart.n
+    col = {g: i for i, g in enumerate(columns)}
+
+    @cache
+    def product(letters):
+        if not letters:
+            return linalg.identity(n)
+        return linalg.mat_mul(product(letters[:-1]), values[letters[-1]])
+
+    rows = {}
+    for base in (g for g in chart.source.generators if g.degree == degree):
+        block = [[[Fraction(0)] * len(columns) for _ in range(n)] for _ in range(n)]
+        for word, c in chart.source.diff[base].terms.items():
+            neg = [j for j, g in enumerate(word) if g.degree < 0]
+            if len(neg) > 1:
+                continue
+            for j in neg or range(len(word)):
+                entries = chart.blocks[word[j].name]
+                suf = _nonzero_entries(product(word[j + 1 :]))
+                for mu, a, x in _nonzero_entries(product(word[:j])):
+                    for b, nu, y in suf:
+                        block[mu][nu][col[entries[a][b]]] += c * x * y
+        for gens, block_row in zip(chart.blocks[base.name], block):
+            rows.update(zip(gens, map(tuple, block_row)))
+    return tuple(rows[g] for g in chart.generators_of_degree(degree))
+
+
+def _nonzero_entries(mat) -> list:
+    return [(i, k, x) for i, row in enumerate(mat) for k, x in enumerate(row) if x]
 
 
 def cohomology_dims(t: TangentComplex) -> CohomologyReport:
@@ -135,12 +160,8 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
     n, m = pt.n, pt.m
     if n == 1:
         return [tuple(mat[0][0] for mat in pt.matrices)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if linalg.mat_mul(pt.matrices[i], pt.matrices[j]) != linalg.mat_mul(
-                pt.matrices[j], pt.matrices[i]
-            ):
-                return None
+    if not matrices_commute(pt.matrices):
+        return None
     # Point p goes to sum_k t^k p_k.  Two distinct points collide only at the
     # at most m - 1 roots of a nonzero polynomial in t, so among C(n,2)(m-1)+1
     # consecutive weights one separates all n points when they are distinct.

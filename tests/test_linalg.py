@@ -79,6 +79,12 @@ def _ref_inverse(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def _ref_mat_mul(a, b):
+    """Reference: the dense row-by-column product, no zero skipping."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in bt) for row in a)
+
+
 def _seeded_matrix(rng, k):
     """Square on even k, rectangular on odd; a row that is a multiple of
     another on k % 3 == 0 (singular when square), a zero row on
@@ -103,11 +109,21 @@ def _seeded_matrix(rng, k):
 
 def test_elimination_matches_reference_loops():
     rng = random.Random(11)
-    seen = {"rect": 0, "zero_row": 0, "singular": 0, "invertible": 0, "large": 0}
+    seen = {"rect": 0, "zero_row": 0, "singular": 0, "invertible": 0, "large": 0, "chained": 0}
+    prev = ()
     for k in range(200):
         a = _seeded_matrix(rng, k)
         nrows, ncols = linalg.mat_shape(a)
         at = tuple(zip(*a))
+        assert linalg.mat_mul(a, at) == _ref_mat_mul(a, at)
+        assert linalg.mat_mul(at, a) == _ref_mat_mul(at, a)
+        if linalg.mat_shape(prev)[1] == nrows:
+            seen["chained"] += 1
+            assert linalg.mat_mul(prev, a) == _ref_mat_mul(prev, a)
+        else:
+            with pytest.raises(DimensionError):
+                linalg.mat_mul(prev, a)
+        prev = a
         rk = linalg.rank(a)
         assert rk == len(_ref_rref(a)) == linalg.rank(at)
         kernel = linalg.nullspace(a)

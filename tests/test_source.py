@@ -40,3 +40,45 @@ def test_no_unused_imports(tmp_path):
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for p in modules for entry in unused_imports(p)] == []
+
+
+def unreferenced_private_names(paths) -> list:
+    """Module-level `_name` definitions that no module of the package reads."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{f}:{line}: {name}" for f, line, name in defined if name not in read)
+
+
+def test_no_unreferenced_private_helpers(tmp_path):
+    # the finder itself: a dead helper, one read in its own module, one read
+    # through another module's attribute, and a dunder, which is exempt
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "__all__ = []\n"
+        "def _dead():\n    return 1\n"
+        "def _used():\n    return _LIMIT\n"
+        "def public():\n    return _used()\n"
+        "class _Remote:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nx = a._Remote\n")
+    assert unreferenced_private_names(sorted(tmp_path.glob("*.py"))) == ["a.py:3: _dead"]
+
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert unreferenced_private_names(modules) == []

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,22 +20,34 @@ from dgquot import (
     tangent_complex_at,
 )
 from dgquot import linalg
+from dgquot.cli import run
+from dgquot.points import chart_assignment
+from dgquot.serialize import load_manifest
 from dgquot.tangent import detect_reduced_support
+from tests.conftest import CORPUS_SPECS
+from tests.test_algebra import linear_part_reference
 from tests.test_points import rand_invertible
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def easy_point(src, name, n):
+    """A classical diagonal point: n tuples built from simple roots."""
+    if name == "fermat":
+        tuples = [(-1, 0, 0, 0), (1, -1, -1, 0), (2, -2, -1, 0)][:n]
+    elif name == "sphere":
+        tuples = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][:n]
+    else:
+        tuples = [tuple(range(i, i + len(src.variables))) for i in range(n)]
+    return diag_point(tuples, src.relations, src.var_gens)
 
 
 def test_dimension_formulas(charts, corpus):
     for (name, n), chart in charts.items():
         src = corpus[name]
         m, r = len(src.variables), len(src.relations)
-        # pick an easy classical point: diagonal tuples built from simple roots
-        if name == "fermat":
-            tuples = [(-1, 0, 0, 0), (1, -1, -1, 0), (2, -2, -1, 0)][:n]
-        elif name == "sphere":
-            tuples = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][:n]
-        else:
-            tuples = [tuple(range(i, i + m)) for i in range(n)]
-        pt = diag_point(tuples, src.relations, src.var_gens)
+        pt = easy_point(src, name, n)
         t = tangent_complex_at(chart, pt)
         c2 = len(list(combinations(range(m), 2)))
         c3 = len(list(combinations(range(m), 3)))
@@ -104,6 +117,67 @@ def test_cohomology_invariant_under_conjugation(charts, corpus):
         g = rand_invertible(rng, 2)
         moved = gl_action(g, pt)
         assert chart_cohomology(chart, moved).as_tuple() == base
+
+
+def symbolic_tangent_reference(chart, pt):
+    """(d0, d1) the long way: build every degree -1 and -2 chart block and
+    keep the linear part of each entry's differential."""
+    assign = chart_assignment(chart, pt)
+
+    def rows(degree, columns):
+        col = {g: i for i, g in enumerate(columns)}
+        out = []
+        for g in chart.generators_of_degree(degree):
+            row = [F(0)] * len(columns)
+            for h, c in linear_part_reference(chart.diff[g], assign).items():
+                row[col[h]] = c
+            out.append(tuple(row))
+        return tuple(out)
+
+    return rows(-1, chart.generators_of_degree(0)), rows(-2, chart.generators_of_degree(-1))
+
+
+def assert_free_route_matches_symbolic(presentations, corpus, cases):
+    rng = random.Random(31)
+    for name, n in cases:
+        chart = matricize(presentations[name], n)
+        pt = easy_point(corpus[name], name, n)
+        for point in (pt, gl_action(rand_invertible(rng, n), pt), gl_action(rand_invertible(rng, n), pt)):
+            t = tangent_complex_at(chart, point)
+            assert (t.d0, t.d1) == symbolic_tangent_reference(chart, point), (name, n)
+            assert t.composition_is_zero()
+
+
+def test_free_route_matches_symbolic_route(presentations, corpus):
+    cases = [(name, n) for n in (1, 2, 3) for name in CORPUS_SPECS if (name, n) != ("fermat", 3)]
+    assert_free_route_matches_symbolic(presentations, corpus, cases)
+
+
+@pytest.mark.extended
+def test_free_route_matches_symbolic_route_fermat_n3(presentations, corpus):
+    assert_free_route_matches_symbolic(presentations, corpus, [("fermat", 3)])
+
+
+def test_tangent_builds_no_degree_minus_two_block(fermat_presentation, corpus):
+    chart = matricize(fermat_presentation, 2)
+    t = tangent_complex_at(chart, easy_point(corpus["fermat"], "fermat", 2))
+    assert t.basis2 and t.composition_is_zero()
+    assert not any(dict.__contains__(chart.diff, g) for g in t.basis2)
+
+
+def test_quintic_tangent_at_rank_four(fermat_presentation, corpus):
+    src = corpus["fermat"]
+    pt = diag_point([(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)], src.relations, src.var_gens)
+    rep = chart_cohomology(matricize(fermat_presentation, 4), pt)
+    assert (rep.h0, rep.h1) == (28, 12)
+    assert rep.ranks == (40, 60)
+
+
+@pytest.mark.parametrize("stem", ["affine3", "sphere"])
+def test_tangent_report_matches_golden(stem):
+    manifest = load_manifest(str(MANIFESTS / f"{stem}_n2.json"))
+    report = run(manifest, ["tangent"], command="tangent")
+    assert report.dumps(include_wall_time=False) == (GOLDEN / f"{stem}_tangent_n2.json").read_text()
 
 
 def koszul_ext_reference(m, k_points):
