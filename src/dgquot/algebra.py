@@ -1,7 +1,11 @@
 """Exact arithmetic for graded-commutative and free associative polynomials.
 
-Coefficients are exact rationals (fractions.Fraction).  Generators carry an
-internal degree <= 0 and a Koszul parity; odd generators anticommute and
+Coefficients are exact rationals: an int when the value is an integer, else
+a fractions.Fraction.  Constructors canonicalize through _coeff and int
+arithmetic stays int, so the all-integer charts never touch Fraction; an
+integral Fraction result may stay one, equal and hash-equal to the int.
+Nothing here divides, so no float reaches a coefficient.  Generators carry
+an internal degree <= 0 and a Koszul parity; odd generators anticommute and
 square to zero.  Both polynomial layers are sparse term maps, key -> nonzero
 rational, on one private base class that owns canonical construction, the
 linear operations, equality and printing.  They differ only in the key:
@@ -26,11 +30,11 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import StructureError
 
-Scalar = Fraction
-ScalarLike = Union[int, Fraction]
+Scalar = Union[int, Fraction]  # as stored: int when integral, else Fraction
+ScalarLike = Union[int, Fraction]  # as accepted; _coeff makes it a Scalar
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class GenSym:
@@ -164,8 +168,12 @@ def mono_print_key(m: Monomial):
     return (-mono_grade(m), tuple((g.sort_key, -e) for g, e in m))
 
 
-def _coeff(c: ScalarLike) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coeff(c: ScalarLike) -> Scalar:
+    """c as stored: an integral value as an int, any other as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _homogeneous(degs: set, what: str):
@@ -180,6 +188,7 @@ def _homogeneous(degs: set, what: str):
 class _TermMap:
     """Finite map from keys to nonzero rationals, with the linear operations.
 
+    Coefficients are Scalars, added and multiplied as they are.
     Subclasses fix the key type through three hooks: ``_canon`` turns a
     caller-supplied key into canonical form (None when it is zero),
     ``_print_key`` orders keys for printing, and ``_factors`` names a key's
@@ -245,7 +254,7 @@ class _TermMap:
         """Rebuild the canonical form (idempotent by construction)."""
         return type(self)(self.terms)
 
-    def constant(self) -> Fraction:
+    def constant(self) -> Scalar:
         """The value of a constant polynomial."""
         if not self.terms:
             return _ZERO

@@ -141,7 +141,7 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     def u(i_name, j_name):
         return chart.oriented_entry_matrix(var_idx[i_name], var_idx[j_name])
 
-    third = Fraction(1, 3)
+    third = Fraction(1, 3)  # the package's only non-integer coefficient
     terms = []
     # couples containing the first coordinate
     for b, (p, q) in (("x", ("y", "z")), ("y", ("z", "x")), ("z", ("x", "y"))):
@@ -263,10 +263,10 @@ def conjugation_field(dr: DeRhamAlgebra, xi) -> dict:
                 for rho in range(n):
                     if xi[mu][rho]:
                         key = ((block[rho][nu], 1),)
-                        acc[key] = acc.get(key, Fraction(0)) + xi[mu][rho]
+                        acc[key] = acc.get(key, 0) + xi[mu][rho]
                     if xi[rho][nu]:
                         key = ((block[mu][rho], 1),)
-                        acc[key] = acc.get(key, Fraction(0)) - xi[rho][nu]
+                        acc[key] = acc.get(key, 0) - xi[rho][nu]
                 values[block[mu][nu]] = GradedPoly(acc)
     for mu, yg in enumerate(chart.framing):
         acc = {}

@@ -14,7 +14,7 @@ from typing import Sequence
 from . import linalg
 from .algebra import GradedPoly
 from .errors import DimensionError, StructureError
-from .repify import ChartPresentation, h0_ideal
+from .repify import ChartPresentation
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,55 @@ class MatrixPoint:
         return len(self.matrices)
 
 
-def chart_assignment(chart: ChartPresentation, pt: MatrixPoint) -> dict:
-    """Values of every degree-0 chart generator at the point."""
+def _variable_values(chart: ChartPresentation, pt: MatrixPoint) -> dict:
+    """Free variable generator -> the point's matrix, after a shape check."""
     pres = chart.source
     if pt.m != len(pres.variables) or pt.n != chart.n:
         raise DimensionError(
             f"point shape ({pt.m} matrices of rank {pt.n}) does not match chart "
             f"({len(pres.variables)} variables, rank {chart.n})"
         )
-    assign = {}
-    for i, g in enumerate(pres.variables):
-        block = chart.blocks[g.name]
-        mat = pt.matrices[i]
-        for mu in range(chart.n):
-            for nu in range(chart.n):
-                assign[block[mu][nu]] = mat[mu][nu]
-    for mu, y in enumerate(chart.framing):
-        assign[y] = pt.vector[mu]
+    return dict(zip(pres.variables, pt.matrices))
+
+
+def chart_assignment(chart: ChartPresentation, pt: MatrixPoint) -> dict:
+    """Values of every degree-0 chart generator at the point."""
+    assign = dict(zip(chart.framing, pt.vector))
+    for g, mat in _variable_values(chart, pt).items():
+        for gens, row in zip(chart.blocks[g.name], mat):
+            assign.update(zip(gens, row))
     return assign
+
+
+class WordProducts(dict):
+    """word -> the point's matrices multiplied along a word of free
+    variables, each built from its memoized prefix.  A plain dict with no
+    reference back to itself, so it is freed as soon as its caller drops it."""
+
+    def __init__(self, chart: ChartPresentation, pt: MatrixPoint):
+        self._values = _variable_values(chart, pt)
+        super().__init__({(): linalg.identity(chart.n)})
+
+    def __missing__(self, word):
+        out = self[word] = linalg.mat_mul(self[word[:-1]], self._values[word[-1]])
+        return out
 
 
 def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
     """(True, None) if every truncation-ideal polynomial vanishes at pt,
-    else (False, first failing polynomial)."""
-    assign = chart_assignment(chart, pt)
-    for p in h0_ideal(chart):
-        if p.evaluate(assign).constant():
-            return False, p
-    return True, None
+    else (False, first failing polynomial).
+
+    Entry (mu, nu) of the block of g is read off sum c * X_{w1}...X_{wk}
+    over the words of g's free differential: only a witness builds a block."""
+    product = WordProducts(chart, pt)
+    value = {}
+    for base in (g for g in chart.source.generators if g.degree == -1):
+        for word, c in chart.source.diff[base].terms.items():
+            for gens, row in zip(chart.blocks[base.name], product[word]):
+                for g, x in zip(gens, row):
+                    value[g] = value.get(g, 0) + c * x
+    failing = [g for g in chart.generators_of_degree(-1) if value.get(g)]
+    return (False, chart.diff[failing[0]]) if failing else (True, None)
 
 
 def is_stable(pt: MatrixPoint) -> bool:

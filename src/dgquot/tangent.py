@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Optional
 
 from . import linalg
 from .errors import NotClassicalError, StructureError
-from .points import MatrixPoint, is_classical_point, is_stable, matrices_commute
+from .points import MatrixPoint, WordProducts, is_classical_point, is_stable, matrices_commute
 from .repify import ChartPresentation
 
 
@@ -66,27 +65,20 @@ def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComp
     ok, witness = is_classical_point(pt, chart)
     if not ok:
         raise NotClassicalError("tangent complex", witness)
-    values = dict(zip(chart.source.variables, pt.matrices))
+    product = WordProducts(chart, pt)
     basis0, basis1, basis2 = (chart.generators_of_degree(k) for k in (0, -1, -2))
-    d0 = _linearized_rows(chart, values, -1, basis0)
-    d1 = _linearized_rows(chart, values, -2, basis1)
+    d0 = _linearized_rows(chart, product, -1, basis0)
+    d1 = _linearized_rows(chart, product, -2, basis1)
     return TangentComplex(basis0, basis1, basis2, d0, d1)
 
 
-def _linearized_rows(chart: ChartPresentation, values: dict, degree: int, columns: tuple) -> tuple:
+def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: int, columns: tuple) -> tuple:
     """Linearized differential of the degree-`degree` entry generators, over
     `columns`.  For a word term c * P . delta . S, entry (mu, nu) of the
     block gets c * P[mu][a] * S[b][nu] in the column of the letter's entry
     [a, b]."""
     n = chart.n
     col = {g: i for i, g in enumerate(columns)}
-
-    @cache
-    def product(letters):
-        if not letters:
-            return linalg.identity(n)
-        return linalg.mat_mul(product(letters[:-1]), values[letters[-1]])
-
     rows = {}
     for base in (g for g in chart.source.generators if g.degree == degree):
         block = [[[Fraction(0)] * len(columns) for _ in range(n)] for _ in range(n)]
@@ -96,8 +88,8 @@ def _linearized_rows(chart: ChartPresentation, values: dict, degree: int, column
                 continue
             for j in neg or range(len(word)):
                 entries = chart.blocks[word[j].name]
-                suf = _nonzero_entries(product(word[j + 1 :]))
-                for mu, a, x in _nonzero_entries(product(word[:j])):
+                suf = _nonzero_entries(product[word[j + 1 :]])
+                for mu, a, x in _nonzero_entries(product[word[:j]]):
                     for b, nu, y in suf:
                         block[mu][nu][col[entries[a][b]]] += c * x * y
         for gens, block_row in zip(chart.blocks[base.name], block):

@@ -306,3 +306,73 @@ def test_string_forms():
     assert str(P(X) ** 2 - P(Y)) == "x^2 - y"
     assert str(P(X).scale(Fraction(2, 3))) == "2/3*x"
     assert str(NCPoly.word([X, Y]) - NCPoly.word([Y, X])) == "x*y - y*x"
+
+
+def as_fractions(p):
+    """p with every coefficient held as a Fraction, as the kernel held them
+    before integer coefficients; the dict is handed over as is."""
+    return type(p)({k: Fraction(c) for k, c in p.terms.items()}, _raw=True)
+
+
+def test_int_and_fraction_coefficients_agree():
+    """The same operands, once with int coefficients and once with Fraction
+    ones, give equal terms and identical printing under every operation."""
+    rng = random.Random(23)
+
+    def coeff():
+        return rng.randint(-4, 4) if rng.random() < 0.8 else Fraction(rng.randint(-4, 4), 3)
+
+    def graded(gens=GENS):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            pairs = [(rng.choice(gens), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+            terms[make_monomial(pairs)] = coeff()
+        return GradedPoly({m: c for m, c in terms.items() if m is not None})
+
+    def free(degree):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = [rng.choice([X, Y, Z]) for _ in range(rng.randint(0, 3))]
+            if degree:
+                word.insert(rng.randint(0, len(word)), rng.choice([U, V]))
+            terms[tuple(word)] = coeff()
+        return NCPoly(terms)
+
+    def same(a, b):
+        assert a.terms == b.terms and str(a) == str(b)
+
+    pt = {X: Fraction(2), Y: Fraction(-1, 2), Z: 3}
+    scalars = (3, Fraction(1, 3), Fraction(6, 3), -1)
+    for _ in range(60):
+        a, b = graded(), graded()
+        fa, fb = as_fractions(a), as_fractions(b)
+        assert all(type(c) is int for c in a.terms.values() if c.denominator == 1)
+        same(a * b, fa * fb)
+        same(a + b, fa + fb)
+        same(a - b, fa - fb)
+        same(poly_sum([a, b, a]), poly_sum([fa, fb, fa]))
+        for c in scalars:
+            same(a.scale(c), fa.scale(c))
+        e = graded([X, Y, Z])
+        same(e.evaluate(pt), as_fractions(e).evaluate(pt))
+        images = {g: graded() for g in GENS}
+        fimages = {g: as_fractions(p) for g, p in images.items()}
+        for shift in (0, 1):
+            same(extend_derivation(images, a, shift), extend_derivation(fimages, fa, shift))
+
+        p, q = free(rng.randint(0, 1)), free(rng.randint(0, 1))
+        fp, fq = as_fractions(p), as_fractions(q)
+        same(p * q, fp * fq)
+        same(p + q, fp + fq)
+        same(graded_commutator(p, q), graded_commutator(fp, fq))
+        same(p.scale(Fraction(1, 3)), fp.scale(Fraction(1, 3)))
+        nc_images = {g: free(g.degree < 0) for g in (X, Y, Z, U, V)}
+        nc_fimages = {g: as_fractions(p) for g, p in nc_images.items()}
+        same(extend_derivation(nc_images, p, 1), extend_derivation(nc_fimages, fp, 1))
+
+
+def test_integral_fraction_results_compare_as_integers():
+    assert GradedPoly.const(Fraction(1, 3)).scale(3).constant() == 1
+    assert GradedPoly.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(GradedPoly.const(Fraction(4, 2)).constant()) is int
+    assert type(NCPoly.word([X], Fraction(-3, 1)).terms[(X,)]) is int

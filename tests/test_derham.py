@@ -21,6 +21,7 @@ from dgquot import (
     matricize,
     omega0,
     pairing_at,
+    tangent_complex_at,
 )
 from tests.test_points import rand_invertible
 
@@ -96,6 +97,19 @@ def test_phi_shape(fermat_dr1, fermat_dr2):
     )
 
 
+def test_phi_and_omega_keep_exact_thirds(fermat_dr1, fermat_dr2):
+    # 1/3 in phi is the one non-integer coefficient; no float reaches a term
+    for dr in (fermat_dr1, fermat_dr2):
+        phi = build_phi(dr)
+        om = omega0(dr, phi)
+        for p in (phi, om):
+            coeffs = list(p.terms.values())
+            assert {type(c) for c in coeffs} <= {int, F}
+            assert any(type(c) is F and c.denominator != 1 for c in coeffs)
+        rep = close_check(dr, om)
+        assert rep.dint_residual.is_zero() and rep.ddr_residual.is_zero()
+
+
 def test_phi_requires_fermat_signature(presentations):
     dr = DeRhamAlgebra(matricize(presentations["k[x,y,z]"], 1))
     with pytest.raises(StructureError):
@@ -161,6 +175,11 @@ def test_chart_and_derham_are_freed_by_reference_counting(fermat_presentation):
         assert close_check(dr).ok
         assert check_chart_d_squared(chart).ok
         assert len(dr._dint_images) == 2 * len(chart.generators)
+        # the point tests and the tangent complex keep no reference cycle
+        src = fermat_presentation.source
+        pt = diag_point([(-1, 0, 0, 0), (0, 0, -1, 0)], src.relations, src.var_gens)
+        assert is_classical_point(pt, chart)[0]
+        assert tangent_complex_at(chart, pt).composition_is_zero()
         refs = [weakref.ref(chart), weakref.ref(dr)]
         del chart, dr
         assert [r() for r in refs] == [None, None]

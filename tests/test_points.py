@@ -10,10 +10,19 @@ from dgquot import (
     StructureError,
     diag_point,
     gl_action,
+    h0_ideal,
     is_classical_point,
     is_stable,
+    matricize,
 )
-from dgquot.points import krylov_dimension_profile, matrices_satisfy
+from dgquot.linalg import is_zero_matrix
+from dgquot.points import (
+    chart_assignment,
+    evaluate_relation_matrix,
+    krylov_dimension_profile,
+    matrices_commute,
+    matrices_satisfy,
+)
 
 
 def rand_invertible(rng, n):
@@ -145,3 +154,64 @@ def test_gl_action_preserves_nonclassical(charts):
     for _ in range(25):
         g = rand_invertible(rng, 2)
         assert not is_classical_point(gl_action(g, pt), chart)[0]
+
+
+def classical_reference(pt, chart):
+    """The symbolic route: evaluate every truncation-ideal polynomial, in
+    `generators_of_degree(-1)` order, at the point's chart assignment."""
+    assign = chart_assignment(chart, pt)
+    for p in h0_ideal(chart):
+        if p.evaluate(assign).constant():
+            return False, p
+    return True, None
+
+
+N = [[0, 1], [0, 0]]  # N and its transpose do not commute
+NT = [[0, 0], [1, 0]]
+O2 = [[0, 0], [0, 0]]
+NONCLASSICAL = [
+    # (chart, point, fails a commutator, fails the relation)
+    ("k[x,y,z]", MatrixPoint((N, NT, O2), (1, 0)), True, False),
+    ("k[x,y,z]", MatrixPoint((N, O2, NT), (1, 1)), True, False),
+    # X^2 + Y^2 = I with [X, Y] != 0
+    ("sphere", MatrixPoint(([[0, F(3, 5)], [F(3, 5), 0]], [[F(4, 5), 0], [0, F(-4, 5)]], O2), (1, 0)), True, False),
+    ("sphere", MatrixPoint(([[1, 0], [0, 2]], O2, O2), (1, 1)), False, True),
+    ("sphere", MatrixPoint(([[1, 1], [0, 1]], NT, O2), (1, 0)), True, True),
+    ("fermat", MatrixPoint(([[2]], [[0]], [[0]], [[0]]), (1,)), False, True),
+    ("fermat", MatrixPoint(([[0]], [[1]], [[-1]], [[1]]), (1,)), False, True),
+    # W^5 = -I and X^5 = Y^5 = 0, so only the commutators fail
+    ("fermat", MatrixPoint(([[-1, 0], [0, -1]], N, NT, O2), (1, 0)), True, False),
+    ("fermat", MatrixPoint(([[-1, 0], [0, 0]], O2, [[0, 0], [0, 2]], O2), (1, 1)), False, True),
+    ("fermat", MatrixPoint(([[-1, 1], [0, 0]], NT, O2, O2), (1, 0)), True, True),
+]
+
+
+@pytest.mark.parametrize("name, pt, commutator, relation", NONCLASSICAL)
+def test_witness_matches_symbolic_route(presentations, corpus, name, pt, commutator, relation):
+    src = corpus[name]
+    assert matrices_commute(pt.matrices) != commutator
+    failing = [f for f in src.relations
+               if not is_zero_matrix(evaluate_relation_matrix(f, src.var_gens, pt.matrices))]
+    assert bool(failing) == relation
+    chart = matricize(presentations[name], pt.n)
+    ok, witness = is_classical_point(pt, chart)
+    ref_ok, ref_witness = classical_reference(pt, matricize(presentations[name], pt.n))
+    assert not ok and not ref_ok
+    assert witness == ref_witness and str(witness) == str(ref_witness)
+    # commutator equations come first in generator order
+    first = next(g for g in chart.generators_of_degree(-1) if chart.diff[g] == witness)
+    assert first.name.startswith("a[" if commutator else "s[")
+
+
+def test_classical_point_builds_no_chart_block(presentations, corpus):
+    for name, points in (
+        ("k[x,y,z]", [(0, 0, 0), (1, 2, 3)]),
+        ("sphere", [(1, 0, 0), (F(3, 5), F(4, 5), 0)]),
+        ("fermat", [(-1, 0, 0, 0), (0, 0, -1, 0)]),
+    ):
+        src = corpus[name]
+        chart = matricize(presentations[name], 2)
+        pt = diag_point(points, src.relations, src.var_gens)
+        assert is_classical_point(pt, chart) == (True, None)
+        assert dict.__len__(chart.diff) == len(chart.framing)
+        assert classical_reference(pt, chart) == (True, None)

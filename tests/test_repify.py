@@ -51,6 +51,16 @@ def test_lazy_chart_matches_eager_build(presentations):
             assert len(chart.diff) == len(chart.generators)
 
 
+def test_quintic_chart_coefficients_are_ints(presentations):
+    pres = presentations["fermat"]
+    chart = matricize(pres, 2)
+    polys = list(pres.diff.values()) + list(chart.diff.values())
+    assert len(polys) == len(pres.generators) + len(chart.generators)
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert len(coeffs) > 1500
+    assert {type(c) for c in coeffs} == {int}
+
+
 def test_matricize_checks_every_degree_before_any_block_is_read(presentations):
     pres = build_resolution(presentations["fermat"].source)
     t = pres.corrections[(0, 0)]

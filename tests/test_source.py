@@ -82,3 +82,36 @@ def test_no_unreferenced_private_helpers(tmp_path):
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert unreferenced_private_names(modules) == []
+
+
+# Modules whose arithmetic reaches polynomial coefficients.  Those are ints
+# when integral, and int / int is a float, so these modules never divide.
+COEFFICIENT_MODULES = ("algebra.py", "repify.py", "resolution.py", "derham.py")
+
+
+def true_divisions(path: Path) -> list:
+    """Every `/` and `/=` in a module; floor division `//` is not one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+
+
+def test_no_true_division_on_coefficients(tmp_path):
+    # the finder itself: a quotient, an in-place quotient, floor division,
+    # an exact Fraction and a division inside a nested function
+    probe = tmp_path / "m.py"
+    probe.write_text(
+        "from fractions import Fraction\n"
+        "def f(c, d):\n"
+        "    c /= 2\n"
+        "    e = c // d + Fraction(1, 3)\n"
+        "    def g():\n"
+        "        return e / d\n"
+        "    return g\n"
+    )
+    assert true_divisions(probe) == ["m.py:3", "m.py:6"]
+
+    assert [entry for name in COEFFICIENT_MODULES for entry in true_divisions(SRC / name)] == []
