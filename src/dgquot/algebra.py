@@ -582,74 +582,3 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
 
     raise StructureError(f"cannot extend a derivation over {type(e).__name__}")
 
-
-class _LazyImages(dict):
-    """Derivation images built the first time each one is read.
-
-    A lookup that misses (by ``[]``, ``get`` or ``in``) calls ``_build(key)``,
-    which stores the image of key (and may store others with it) or raises
-    KeyError for a key outside the map; a hit stays a plain dict lookup.
-    Reads of the map as a whole -- iteration, the views, len and equality --
-    first build every key of ``_domain()``, so they see the same map an
-    eager build would.  Subclasses hold only what building needs, never the
-    object that owns the map, so the owner is freed by reference counting
-    alone.
-    """
-
-    _complete = False
-
-    def _domain(self) -> Iterable:
-        raise NotImplementedError
-
-    def _build(self, key) -> None:
-        raise NotImplementedError
-
-    def __missing__(self, key):
-        self._build(key)
-        return dict.__getitem__(self, key)
-
-    def _force(self):
-        if not self._complete:
-            for key in self._domain():
-                if not dict.__contains__(self, key):
-                    self._build(key)
-            self._complete = True
-
-    def __contains__(self, key):
-        return self.get(key) is not None
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __iter__(self):
-        self._force()
-        return dict.__iter__(self)
-
-    def __len__(self):
-        self._force()
-        return dict.__len__(self)
-
-    def keys(self):
-        self._force()
-        return dict.keys(self)
-
-    def values(self):
-        self._force()
-        return dict.values(self)
-
-    def items(self):
-        self._force()
-        return dict.items(self)
-
-    def __eq__(self, other):
-        self._force()
-        if isinstance(other, _LazyImages):
-            other._force()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq

@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 import time
+from functools import cached_property
 
 from .algebra import GradedPoly
 from .derham import (
@@ -46,24 +47,16 @@ class _Pipeline:
     def __init__(self, manifest: Manifest, extended: bool = False):
         self.manifest = manifest
         self.extended = extended
-        self._source = None
-        self._presentation = None
         self._charts = {}
         self._derham = {}
 
-    @property
+    @cached_property
     def source(self) -> AlgebraInput:
-        if self._source is None:
-            self._source = AlgebraInput.from_strings(
-                self.manifest.variables, self.manifest.relations
-            )
-        return self._source
+        return AlgebraInput.from_strings(self.manifest.variables, self.manifest.relations)
 
-    @property
+    @cached_property
     def presentation(self):
-        if self._presentation is None:
-            self._presentation = build_resolution(self.source, self.manifest.ordering)
-        return self._presentation
+        return build_resolution(self.source, self.manifest.ordering)
 
     def chart(self, n=None):
         n = self.manifest.n if n is None else n

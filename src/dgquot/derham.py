@@ -9,12 +9,12 @@ pattern; omega0 = d_dR(phi) is the candidate (-1)-shifted 2-form, and the
 closure, pairing and invariance probes below are exact symbolic
 computations.
 
-The internal-differential images are built on demand: the image of g (its
-chart differential, itself built block by block) or of d(g) (that is,
--d_dR(d g)) is computed the first time a derivation reads it and then kept.
-Closure of the quintic form reads about half of them; iterating over the
-image table builds them all.  The de Rham images are cheap and built
-eagerly.
+The internal-differential images are a memo built on demand: the image of
+g (its chart differential, itself built block by block) or of d(g) (that
+is, -d_dR(d g)) is computed the first time a derivation reads it and then
+kept.  Closure of the quintic form reads about half of them.  Only a `[]`
+lookup builds an image; `in`, `get`, `len`, iteration and the views see the
+images built so far.  The de Rham images are cheap and built eagerly.
 
 Contraction convention: interior products act as odd left derivations
 (iota(ab) = iota(a) b + (-1)^|a| a iota(b)) that kill plain generators.
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from . import linalg
-from .algebra import GenSym, GradedPoly, _LazyImages, extend_derivation, poly_sum
+from .algebra import GenSym, GradedPoly, extend_derivation, poly_sum
 from .errors import NotClassicalError, StructureError
 from .parser import parse_poly
 from .points import MatrixPoint, chart_assignment, is_classical_point
@@ -80,24 +79,24 @@ class DeRhamAlgebra:
         return images
 
 
-class _DintImages(_LazyImages):
-    """Internal-differential images of chart generators and their d(g)."""
+class _DintImages(dict):
+    """Internal-differential images of chart generators and their d(g),
+    each built by a miss on `[]`."""
 
     def __init__(self, chart_diff: dict, ddr_images: dict, delta_base: dict):
         self._diff = chart_diff
         self._ddr_images = ddr_images
         self._delta_base = delta_base  # d(g) -> g
 
-    def _domain(self):
-        return chain(self._delta_base.values(), self._delta_base)
-
-    def _build(self, key):
+    def __missing__(self, key):
         base = self._delta_base.get(key)
         if base is None:
-            self[key] = self._diff[key]
+            image = self._diff[key]
         else:
             # d(delta g) = -delta(d g) forces the anticommutation identity
-            self[key] = -extend_derivation(self._ddr_images, self._diff[base], 1)
+            image = -extend_derivation(self._ddr_images, self._diff[base], 1)
+        self[key] = image
+        return image
 
 
 _FERMAT_VARS = ("w", "x", "y", "z")

@@ -5,13 +5,15 @@ of the same internal degree; a framing row y[1]..y[n] of degree 0 is
 adjoined with zero differential.  Words map to entry-matrix products taken
 left to right, so the free differential transports to the chart.
 
-The chart differential is built on demand.  `matricize` lays out the blocks,
-checks the degree of every free differential and stores the framing zeros;
-the block of a base generator is matricized the first time any of its
-entries is read, and then all n^2 entries are kept.  Tasks that read only
-some blocks (the classical truncation, the 2-form and its closure) never pay
-for the rest, chiefly the degree -2 correction blocks t[x_j,l]; iterating
-over `chart.diff` (d^2 checks, serialization) builds all of them.
+The chart differential is a memo built on demand.  `matricize` lays out the
+blocks, checks the degree of every free differential and stores the framing
+zeros; `chart.diff[g]` matricizes the block of g's base generator the first
+time any of its entries is read, and then all n^2 entries are kept.  Tasks
+that read only some blocks (the classical truncation, the 2-form and its
+closure) never pay for the rest, chiefly the degree -2 correction blocks
+t[x_j,l].  `in`, `get`, `len`, iteration and the views see only the entries
+built so far, so a reader of the whole chart (d^2 checks, serialization)
+walks `chart.generators`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import GenSym, GradedPoly, NCPoly, _LazyImages, extend_derivation, poly_sum
+from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
 from .errors import DimensionError, StructureError
 from .resolution import FreePresentation
 
@@ -108,7 +110,8 @@ class ChartPresentation:
     n: int
     blocks: dict = field(repr=False)  # base gen name -> n x n GenSym grid
     framing: tuple = ()
-    diff: dict = field(default_factory=dict, repr=False)  # GenSym -> GradedPoly
+    # GenSym -> GradedPoly, a memo determined by the fields above
+    diff: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def generators(self) -> tuple:
@@ -158,8 +161,12 @@ def _poly_matrix(blocks: dict, n: int, p: NCPoly) -> CDGAMatrix:
     return acc
 
 
-class _ChartDiff(_LazyImages):
-    """Chart differentials, matricized one base generator's block at a time."""
+class _ChartDiff(dict):
+    """Chart differentials, matricized one base generator's block at a time.
+
+    A miss on `[]` builds the entry's whole block; a key outside the chart
+    raises KeyError.  No other read builds anything.
+    """
 
     def __init__(self, images: dict, blocks: dict, framing: tuple):
         super().__init__((y, GradedPoly.zero()) for y in framing)
@@ -167,17 +174,15 @@ class _ChartDiff(_LazyImages):
         self._blocks = blocks
         self._owner = {e: g for g in images for row in blocks[g.name] for e in row}
 
-    def _domain(self):
-        return self._owner
-
-    def _build(self, key):
+    def __missing__(self, key):
         base = self._owner[key]
         block = self._blocks[base.name]
         mat = _poly_matrix(self._blocks, len(block), self._images[base])
         for row, images in zip(block, mat.entries):
             for g, image in zip(row, images):
-                # an entry already stored (or replaced by a caller) is kept
+                # an entry replaced by a caller is kept
                 self.setdefault(g, image)
+        return self[key]
 
 
 def matricize(pres: FreePresentation, n: int) -> ChartPresentation:

@@ -132,8 +132,8 @@ def koszul_ext_oracle(m: int, k_points: int):
     Ext^i = Hom(Lambda^(i+1) k^m, k) has dimension C(m, i + 1).
     Contributions are local, so the result scales by the point count.
     """
-    if m < 1 or m > 4:
-        raise StructureError("oracle supports 1 <= m <= 4 variables")
+    if m < 1:
+        raise StructureError("oracle needs at least one variable")
     if k_points < 1:
         raise StructureError("oracle needs at least one point")
     return tuple(k_points * comb(m, i + 1) for i in range(3))
@@ -177,23 +177,16 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
             eigenspaces.append(kernel)
         if len(eigenspaces) != n:
             continue  # two support points collide at this weight
+        # each 1-dimensional eigenspace of the combination is invariant under
+        # the commuting X_k, so each vector is a common eigenvector, and
+        # distinct combination eigenvalues force distinct coordinate tuples
         support = []
-        ok = True
         for (vec,) in eigenspaces:
-            coords = []
-            for mat in pt.matrices:
-                image = linalg.mat_vec(mat, vec)
-                pivot = next(k for k, x in enumerate(vec) if x)
-                lam_i = image[pivot] / vec[pivot]
-                if image != tuple(lam_i * x for x in vec):
-                    ok = False
-                    break
-                coords.append(lam_i)
-            if not ok:
-                break
-            support.append(tuple(coords))
-        if ok and len(set(support)) == n:
-            return sorted(support)
+            pivot = next(k for k, x in enumerate(vec) if x)
+            support.append(
+                tuple(linalg.mat_vec(mat, vec)[pivot] / vec[pivot] for mat in pt.matrices)
+            )
+        return sorted(support)
     return None
 
 
@@ -201,7 +194,6 @@ def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
 class QuotTangentReport:
     cohomology: CohomologyReport
     oracle: Optional[tuple]
-    support_points: Optional[int]
     checks: dict  # degree label -> bool, or {} when no oracle
     note: str = ""
 
@@ -230,17 +222,15 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
         note = "no oracle: point is not stable"
     elif r > 0:
         note = "no oracle: ambient ring has relations"
-    elif m > 4:
-        note = "no oracle: too many variables"
     else:
         support = detect_reduced_support(pt)
-        if support is not None and len(support) == n:
+        if support is not None:
             ext = koszul_ext_oracle(m, n)
             checks = {
                 "h0": report.h0 == n * n + ext[0],
                 "h1": report.h1 == ext[1],
                 "h2": report.h2_upper == ext[2] if report.h2_exact else report.h2_upper >= ext[2],
             }
-            return QuotTangentReport(report, ext, len(support), checks)
+            return QuotTangentReport(report, ext, checks)
         note = "no oracle: support is not n distinct rational points"
-    return QuotTangentReport(report, None, None, {}, note)
+    return QuotTangentReport(report, None, {}, note)

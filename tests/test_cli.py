@@ -74,6 +74,14 @@ def test_golden_chart(fermat_presentation, n):
     assert got == (GOLDEN / f"fermat_chart_n{n}.json").read_text()
 
 
+def test_repify_after_a_partial_read_sees_the_whole_chart():
+    manifest = load_manifest(str(MANIFESTS / "fermat_n2.json"))
+    h0, repify = run(manifest, ["h0", "repify"]).results
+    assert h0["status"] == repify["status"] == "pass"
+    got = canonical(repify["presentation"])
+    assert got == (GOLDEN / "fermat_chart_n2.json").read_text()
+
+
 def test_report_deterministic_and_matches_golden():
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     first = run(manifest, manifest.tasks, command="run")

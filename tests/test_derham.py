@@ -174,7 +174,8 @@ def test_chart_and_derham_are_freed_by_reference_counting(fermat_presentation):
         dr = DeRhamAlgebra(chart)
         assert close_check(dr).ok
         assert check_chart_d_squared(chart).ok
-        assert len(dr._dint_images) == 2 * len(chart.generators)
+        images = [dr._dint_images[h] for g in chart.generators for h in (g, dr.delta[g])]
+        assert len(dr._dint_images) == len(images) == 2 * len(chart.generators)
         # the point tests and the tangent complex keep no reference cycle
         src = fermat_presentation.source
         pt = diag_point([(-1, 0, 0, 0), (0, 0, -1, 0)], src.relations, src.var_gens)

@@ -45,16 +45,24 @@ def test_lazy_chart_matches_eager_build(presentations):
     for name, pres in presentations.items():
         for n in (1, 2, 3):
             chart = matricize(pres, n)
-            # read one block first, so the whole-map read sees a partial memo
+            # read one block first, so the full walk meets a partial memo
             h0_ideal(chart)
-            assert dict(chart.diff) == _eager_diff(chart), (name, n)
+            assert {g: chart.diff[g] for g in chart.generators} == _eager_diff(chart), (name, n)
             assert len(chart.diff) == len(chart.generators)
+
+
+def test_partial_read_builds_only_the_blocks_read(presentations):
+    chart = matricize(presentations["fermat"], 2)
+    h0_ideal(chart)
+    # the memo holds the framing zeros and the degree -1 blocks, nothing else
+    built = len(chart.framing) + len(chart.generators_of_degree(-1))
+    assert len(chart.diff) == built < len(chart.generators)
 
 
 def test_quintic_chart_coefficients_are_ints(presentations):
     pres = presentations["fermat"]
     chart = matricize(pres, 2)
-    polys = list(pres.diff.values()) + list(chart.diff.values())
+    polys = list(pres.diff.values()) + [chart.diff[g] for g in chart.generators]
     assert len(polys) == len(pres.generators) + len(chart.generators)
     coeffs = [c for p in polys for c in p.terms.values()]
     assert len(coeffs) > 1500
@@ -162,8 +170,8 @@ def test_diff_images_multilinear_in_negatives(charts):
     # every chart differential image has at most one negative-degree factor
     # per monomial, with degree-0 coefficients
     for (name, n), chart in charts.items():
-        for g, img in chart.diff.items():
-            for mono in img.terms:
+        for g in chart.generators:
+            for mono in chart.diff[g].terms:
                 negs = sum(e for h, e in mono if h.degree < 0)
                 assert negs <= 1
 

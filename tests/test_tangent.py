@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from dgquot import (
+    AlgebraInput,
     MatrixPoint,
     NotClassicalError,
     StructureError,
+    build_resolution,
     chart_cohomology,
     cohomology_dims,
     diag_point,
@@ -225,7 +227,7 @@ def koszul_ext_reference(m, k_points):
 
 
 def test_koszul_oracle_values():
-    for m in range(1, 5):
+    for m in range(1, 7):
         for k in range(1, 13):
             assert koszul_ext_oracle(m, k) == koszul_ext_reference(m, k), (m, k)
     assert koszul_ext_oracle(3, 1) == (3, 3, 1)
@@ -234,8 +236,6 @@ def test_koszul_oracle_values():
     assert koszul_ext_oracle(2, 1) == (2, 1, 0)
     assert koszul_ext_oracle(2, 3) == (6, 3, 0)
     assert koszul_ext_oracle(4, 1) == (4, 6, 4)
-    with pytest.raises(StructureError):
-        koszul_ext_oracle(5, 1)
     with pytest.raises(StructureError):
         koszul_ext_oracle(3, 0)
 
@@ -330,13 +330,19 @@ def test_quot_tangent_no_oracle_cases(charts, corpus):
 
 
 def test_affine4_truncation_is_upper_bound(presentations):
-    # m = 4, r = 0: degree -3 generators are missing, h2 stays an upper bound
-    chart = matricize(presentations["k[w,x,y,z]"], 1)
-    pt = MatrixPoint(([[0]], [[0]], [[0]], [[0]]), (F(1),))
-    rep = chart_cohomology(chart, pt)
-    assert not rep.h2_exact
-    q = quot_tangent_check(chart, pt)
-    assert q.has_oracle
-    ext = q.oracle
-    assert rep.h0 == 1 + ext[0] and rep.h1 == ext[1] and rep.h2_upper >= ext[2]
-    assert q.ok
+    # m >= 4, r = 0: degree -3 generators are missing, h2 stays an upper bound
+    origin4 = MatrixPoint(([[0]], [[0]], [[0]], [[0]]), (F(1),))
+    cases = [(matricize(presentations["k[w,x,y,z]"], 1), origin4)]
+    src5 = AlgebraInput.from_strings(["v", "w", "x", "y", "z"], [])
+    pres5 = build_resolution(src5)
+    for tuples in ([(0, 0, 0, 0, 0)], [(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)]):
+        pt = diag_point(tuples, src5.relations, src5.var_gens)
+        cases.append((matricize(pres5, len(tuples)), pt))
+    for chart, pt in cases:
+        rep = chart_cohomology(chart, pt)
+        assert not rep.h2_exact
+        q = quot_tangent_check(chart, pt)
+        assert q.has_oracle
+        ext = q.oracle
+        assert rep.h0 == chart.n**2 + ext[0] and rep.h1 == ext[1] and rep.h2_upper >= ext[2]
+        assert q.ok
