@@ -40,11 +40,11 @@ from .points import (
     is_stable,
 )
 from .repify import (
-    CDGAMatrix,
     ChartPresentation,
     check_chart_d_squared,
     h0_ideal,
     matricize,
+    matrix_image,
 )
 from .resolution import (
     AlgebraInput,
@@ -68,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraInput",
-    "CDGAMatrix",
     "ChartPresentation",
     "CohomologyReport",
     "DeRhamAlgebra",
@@ -103,6 +102,7 @@ __all__ = [
     "koszul_ext_oracle",
     "lift_to_free",
     "matricize",
+    "matrix_image",
     "omega0",
     "pairing_at",
     "parse_poly",

@@ -231,16 +231,17 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
     except StructureError:
         is_fermat = False
     if is_fermat:
+        omegas = {}  # rank -> omega0, built once for closure and invariance
         for n in ranks:
             if n > 2 and not pipe.extended:
                 continue
-            checks[f"form_closure_n{n}"] = close_check(pipe.derham(n)).ok
-        om = omega0(pipe.derham(2))
+            omegas[n] = omega0(pipe.derham(n))
+            checks[f"form_closure_n{n}"] = close_check(pipe.derham(n), omegas[n]).ok
         inv_ok = True
         for a in range(2):
             for b in range(2):
                 xi = [[1 if (i, j) == (a, b) else 0 for j in range(2)] for i in range(2)]
-                inv_ok = inv_ok and invariance_check(pipe.derham(2), om, xi).ok
+                inv_ok = inv_ok and invariance_check(pipe.derham(2), omegas[2], xi).ok
         checks["form_invariance_n2"] = inv_ok
     for k, pt in enumerate(pipe.manifest.points):
         classical, _ = is_classical_point(pt, pipe.chart())

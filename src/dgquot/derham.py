@@ -4,9 +4,11 @@ The de Rham algebra extends a chart by one symbol d(g) per generator g,
 with internal degree of g and Koszul parity parity(g) + 1.  Two
 anticommuting odd derivations act: the internal differential (from the
 chart) and the de Rham differential.  On the four-variable quintic chart
-the traced potential phi is assembled from the displayed six-term product
-pattern; omega0 = d_dR(phi) is the candidate (-1)-shifted 2-form, and the
-closure, pairing and invariance probes below are exact symbolic
+the potential phi is a trace: `repify.matrix_image` sends a six-term free
+potential Phi, in the coordinates x, their de Rham symbols d(x) and the
+commutator generators a[p,q], to its n x n image, and phi is the sum of
+the diagonal.  omega0 = d_dR(phi) is the candidate (-1)-shifted 2-form, and
+the closure, pairing and invariance probes below are exact symbolic
 computations.
 
 The internal-differential images are a memo built on demand: the image of
@@ -29,11 +31,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .algebra import GenSym, GradedPoly, extend_derivation, poly_sum
+from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
 from .errors import NotClassicalError, StructureError
 from .parser import parse_poly
 from .points import MatrixPoint, chart_assignment, is_classical_point
-from .repify import CDGAMatrix, ChartPresentation
+from .repify import ChartPresentation, matrix_image
 
 
 class DeRhamAlgebra:
@@ -61,12 +63,6 @@ class DeRhamAlgebra:
     def dint(self, e: GradedPoly) -> GradedPoly:
         """Internal differential: bidegree (+1, 0), odd."""
         return extend_derivation(self._dint_images, e, 1)
-
-    def delta_matrix(self, base: GenSym) -> CDGAMatrix:
-        block = self.chart.blocks[base.name]
-        return CDGAMatrix(
-            [[GradedPoly.gen(self.delta[g]) for g in row] for row in block]
-        )
 
     def contraction(self, delta_images: dict) -> dict:
         """Images for an interior product: plain generators die, each
@@ -103,6 +99,14 @@ _FERMAT_VARS = ("w", "x", "y", "z")
 
 
 def _require_fermat(chart: ChartPresentation):
+    """Raise unless the chart is the four-variable affine quintic.
+
+    The guard encodes mathematics.  With it bypassed, omega0 is still closed
+    on other four-variable charts, but it pairs tangent cohomology H^0 with
+    the degree-1 cocycles with rank 0 on wx - yz (n = 1, 2) and on the
+    hyperplane w (n = 2), while on the Fermat cubic w^3 + x^3 + y^3 + z^3 - 1
+    it is nondegenerate, as on the quintic.  Closure alone does not decide.
+    """
     src = chart.source.source
     if tuple(src.variables) != _FERMAT_VARS or len(src.relations) != 1:
         raise StructureError(
@@ -114,11 +118,14 @@ def _require_fermat(chart: ChartPresentation):
 
 
 def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
-    """Traced potential: internal degree -1, form degree 1.
+    """Traced potential phi = tr(image of Phi): internal degree -1, form degree 1.
 
-    Six terms pair coordinate/coordinate-differential products with the
+    Phi is a free potential in the letters x, d(x) and a[p,q].  Its six
+    terms pair coordinate/coordinate-differential products with the
     commutator generator of the complementary index pair, following the
-    holomorphic-volume-form pattern (w dx - x dw) wedge ... on the chart.
+    holomorphic-volume-form pattern (w dx - x dw) wedge ...; a[q,p] with q
+    after p stands for -a[p,q].  Its image sends x and a[p,q] to their chart
+    blocks and d(x) to the de Rham symbols of x's block.
     In a one-parity Koszul convention the naive antisymmetrized product
     transcription is not d-closed for n >= 2, so the coefficients below
     are the cyclically symmetric solution of the defining constraints:
@@ -129,30 +136,32 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     chart = dr.chart
     _require_fermat(chart)
     pres = chart.source
-    var_idx = {g.name: i for i, g in enumerate(pres.variables)}
+    var = {g.name: g for g in pres.variables}
+    dvar = {name: GenSym(f"d({name})", g.degree, g.kind, dform=True) for name, g in var.items()}
 
-    def coord(name):
-        return chart.entry_matrix(pres.variables[var_idx[name]])
+    def u(p, q):
+        """(sign, letter): the commutator generator oriented as [p, q]."""
+        i, j = _FERMAT_VARS.index(p), _FERMAT_VARS.index(q)
+        return (1, pres.commutators[(i, j)]) if i < j else (-1, pres.commutators[(j, i)])
 
-    def dcoord(name):
-        return dr.delta_matrix(pres.variables[var_idx[name]])
-
-    def u(i_name, j_name):
-        return chart.oriented_entry_matrix(var_idx[i_name], var_idx[j_name])
-
-    third = Fraction(1, 3)  # the package's only non-integer coefficient
-    terms = []
+    words = []  # (integer coefficient, word); Phi is a third of their sum
     # couples containing the first coordinate
     for b, (p, q) in (("x", ("y", "z")), ("y", ("z", "x")), ("z", ("x", "y"))):
-        A, B, U = coord("w"), coord(b), u(p, q)
-        dA, dB = dcoord("w"), dcoord(b)
-        terms.append((A @ dB @ U + B @ dA @ U - (A @ U @ dB).scale(2)).scale(third))
+        sign, U = u(p, q)
+        A, B, dA, dB = var["w"], var[b], dvar["w"], dvar[b]
+        words += [(sign, (A, dB, U)), (sign, (B, dA, U)), (-2 * sign, (A, U, dB))]
     # complementary couples
     for (a, b), (p, q) in ((("y", "z"), ("w", "x")), (("z", "x"), ("w", "y")), (("x", "y"), ("w", "z"))):
-        A, B, U = coord(a), coord(b), u(p, q)
-        dA, dB = dcoord(a), dcoord(b)
-        terms.append((B @ dA @ U - A @ dB @ U).scale(third))
-    return poly_sum(t.trace() for t in terms)
+        sign, U = u(p, q)
+        A, B, dA, dB = var[a], var[b], dvar[a], dvar[b]
+        words += [(sign, (B, dA, U)), (-sign, (A, dB, U))]
+    third = Fraction(1, 3)  # the package's only non-integer coefficient
+    potential = sum((NCPoly.word(w, third * c) for c, w in words), NCPoly.zero())
+    grids = dict(chart.blocks)
+    for name, d in dvar.items():
+        grids[d.name] = [[dr.delta[g] for g in row] for row in chart.blocks[name]]
+    image = matrix_image(grids, chart.n, potential)
+    return poly_sum(image[mu][mu] for mu in range(chart.n))
 
 
 def omega0(dr: DeRhamAlgebra, phi: Optional[GradedPoly] = None) -> GradedPoly:
@@ -183,9 +192,6 @@ class PairingReport:
     cols: tuple  # degree -1 generators
     matrix: tuple  # len(rows) x len(cols) rationals
     rank: int
-
-    def entry(self, row_gen: GenSym, col_gen: GenSym) -> Fraction:
-        return self.matrix[self.rows.index(row_gen)][self.cols.index(col_gen)]
 
 
 def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> PairingReport:

@@ -2,8 +2,11 @@
 
 Each free generator g becomes an n x n block of entry generators g[mu,nu]
 of the same internal degree; a framing row y[1]..y[n] of degree 0 is
-adjoined with zero differential.  Words map to entry-matrix products taken
-left to right, so the free differential transports to the chart.
+adjoined with zero differential.  One routine, `matrix_image`, sends a
+free polynomial to its n x n matrix image: a letter becomes its grid of
+generators and a word the product of its letters' grids, taken left to
+right.  It transports the free differential to the chart, and `derham`
+uses it to trace the 2-form's potential.
 
 The chart differential is a memo built on demand.  `matricize` lays out the
 blocks, checks the degree of every free differential and stores the framing
@@ -19,87 +22,54 @@ walks `chart.generators`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
-from .errors import DimensionError, StructureError
-from .resolution import FreePresentation
+from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, mono_mul
+from .errors import StructureError
+from .resolution import DSquaredReport, FreePresentation
 
 KIND_ENTRY = "matrix-entry"
 KIND_FRAMING = "framing"
 
 
-class CDGAMatrix:
-    """Square matrix with graded-polynomial entries of one internal degree."""
+def matrix_image(grids: dict, n: int, p: NCPoly) -> list:
+    """The n x n matrix image of p, as rows of GradedPoly entries.
 
-    __slots__ = ("entries", "n")
-
-    def __init__(self, entries: Sequence[Sequence[GradedPoly]]):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.n = len(self.entries)
-        if any(len(row) != self.n for row in self.entries):
-            raise DimensionError("CDGAMatrix must be square")
-
-    @staticmethod
-    def identity(n: int) -> "CDGAMatrix":
-        one, zero = GradedPoly.const(1), GradedPoly.zero()
-        return CDGAMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def from_gens(block: Sequence[Sequence[GenSym]]) -> "CDGAMatrix":
-        return CDGAMatrix([[GradedPoly.gen(g) for g in row] for row in block])
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def __matmul__(self, other: "CDGAMatrix") -> "CDGAMatrix":
-        if self.n != other.n:
-            raise DimensionError("matrix size mismatch")
-        n = self.n
-        rows = []
+    Letter g stands for the generator grid ``grids[g.name]``, a word for the
+    product of its letters' grids and the empty word for the identity.
+    Entry (mu, nu) of a word's image sums g_1[mu,i_1] ... g_k[i_{k-1},nu]
+    over index paths, extended left to right with mono_mul into plain term
+    dicts, so no polynomial is built per product.  Unlike a GradedPoly
+    product this compares no generator tables, and need not: every name in
+    the grids is distinct by construction.  `matricize` forms g[mu,nu] from
+    distinct free names, the framing is y[mu], de Rham symbols are d(...),
+    and a manifest identifier cannot contain brackets or parentheses.
+    """
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for word, c in p.terms.items():
         for mu in range(n):
-            row = []
-            for nu in range(n):
-                row.append(
-                    poly_sum(
-                        self.entries[mu][rho] * other.entries[rho][nu]
-                        for rho in range(n)
-                    )
-                )
-            rows.append(row)
-        return CDGAMatrix(rows)
+            paths = {mu: {(): c}}  # end index -> terms of the partial products
+            for g in word:
+                grid = grids[g.name]
+                step = {}
+                for i, terms in paths.items():
+                    for j, e in enumerate(grid[i]):
+                        _add_products(step.setdefault(j, {}), terms, ((e, 1),))
+                paths = step
+            for nu, terms in paths.items():
+                _add_products(out[mu][nu], terms, ())
+    return [[GradedPoly(terms, _raw=True) for terms in row] for row in out]
 
-    def __add__(self, other: "CDGAMatrix") -> "CDGAMatrix":
-        if self.n != other.n:
-            raise DimensionError("matrix size mismatch")
-        return CDGAMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
 
-    def __sub__(self, other: "CDGAMatrix") -> "CDGAMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "CDGAMatrix":
-        return CDGAMatrix([[-p for p in row] for row in self.entries])
-
-    def scale(self, c) -> "CDGAMatrix":
-        return CDGAMatrix([[p.scale(c) for p in row] for row in self.entries])
-
-    def trace(self) -> GradedPoly:
-        return poly_sum(self.entries[mu][mu] for mu in range(self.n))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def __eq__(self, other):
-        return isinstance(other, CDGAMatrix) and self.entries == other.entries
-
-    __hash__ = None
+def _add_products(acc: dict, terms: dict, factor) -> None:
+    """acc += terms * factor, on term dicts of canonical monomials."""
+    for m, a in terms.items():
+        sign, key = mono_mul(m, factor)
+        if sign:
+            s = acc.get(key, 0) + (a if sign > 0 else -a)
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
 @dataclass
@@ -122,43 +92,8 @@ class ChartPresentation:
     def generators_of_degree(self, degree: int) -> tuple:
         return tuple(g for g in self.generators if g.degree == degree)
 
-    def entry_matrix(self, base: GenSym) -> CDGAMatrix:
-        return CDGAMatrix.from_gens(self.blocks[base.name])
-
     def d(self, p: GradedPoly) -> GradedPoly:
         return extend_derivation(self.diff, p, 1)
-
-    def oriented_entry_matrix(self, i: int, j: int) -> CDGAMatrix:
-        """Matrix of the degree -1 element with differential [X_i, X_j]."""
-        pres = self.source
-        if i == j:
-            zero = GradedPoly.zero()
-            return CDGAMatrix([[zero] * self.n for _ in range(self.n)])
-        if i < j:
-            return self.entry_matrix(pres.commutators[(i, j)])
-        return -self.entry_matrix(pres.commutators[(j, i)])
-
-    def word_matrix(self, word) -> CDGAMatrix:
-        return _word_matrix(self.blocks, self.n, word)
-
-    def poly_matrix(self, p: NCPoly) -> CDGAMatrix:
-        """Matrix image of a free-layer polynomial."""
-        return _poly_matrix(self.blocks, self.n, p)
-
-
-def _word_matrix(blocks: dict, n: int, word) -> CDGAMatrix:
-    out = CDGAMatrix.identity(n)
-    for g in word:
-        out = out @ CDGAMatrix.from_gens(blocks[g.name])
-    return out
-
-
-def _poly_matrix(blocks: dict, n: int, p: NCPoly) -> CDGAMatrix:
-    zero = GradedPoly.zero()
-    acc = CDGAMatrix([[zero] * n for _ in range(n)])
-    for w, c in sorted(p.terms.items(), key=lambda wc: tuple(g.sort_key for g in wc[0])):
-        acc = acc + _word_matrix(blocks, n, w).scale(c)
-    return acc
 
 
 class _ChartDiff(dict):
@@ -177,8 +112,8 @@ class _ChartDiff(dict):
     def __missing__(self, key):
         base = self._owner[key]
         block = self._blocks[base.name]
-        mat = _poly_matrix(self._blocks, len(block), self._images[base])
-        for row, images in zip(block, mat.entries):
+        mat = matrix_image(self._blocks, len(block), self._images[base])
+        for row, images in zip(block, mat):
             for g, image in zip(row, images):
                 # an entry replaced by a caller is kept
                 self.setdefault(g, image)
@@ -218,8 +153,6 @@ def h0_ideal(chart: ChartPresentation) -> list:
 
 def check_chart_d_squared(chart: ChartPresentation):
     """(generator name, d(d(g))) for every entry generator; all must vanish."""
-    from .resolution import DSquaredReport
-
     entries = []
     for g in chart.generators:
         entries.append((g.name, chart.d(chart.diff[g])))

@@ -23,7 +23,9 @@ from dgquot import (
     pairing_at,
     tangent_complex_at,
 )
+from dgquot.algebra import poly_sum
 from tests.test_points import rand_invertible
+from tests.test_repify import CDGAMatrix
 
 FERMAT_PT1 = MatrixPoint(([[-1]], [[0]], [[0]], [[0]]), (F(1),))
 
@@ -95,6 +97,45 @@ def test_phi_shape(fermat_dr1, fermat_dr2):
         for mono in phi2.terms
         for g, _ in mono
     )
+
+
+def build_phi_reference(dr):
+    """phi as a sum of traces of symbolic matrix products, term by term."""
+    chart = dr.chart
+    pres = chart.source
+    var_idx = {g.name: i for i, g in enumerate(pres.variables)}
+
+    def coord(name):
+        return CDGAMatrix.from_gens(chart.blocks[name])
+
+    def dcoord(name):
+        return CDGAMatrix([[GradedPoly.gen(dr.delta[g]) for g in row] for row in chart.blocks[name]])
+
+    def u(i_name, j_name):
+        i, j = var_idx[i_name], var_idx[j_name]
+        if i < j:
+            return CDGAMatrix.from_gens(chart.blocks[pres.commutators[(i, j)].name])
+        return -CDGAMatrix.from_gens(chart.blocks[pres.commutators[(j, i)].name])
+
+    third = F(1, 3)
+    terms = []
+    for b, (p, q) in (("x", ("y", "z")), ("y", ("z", "x")), ("z", ("x", "y"))):
+        A, B, U = coord("w"), coord(b), u(p, q)
+        dA, dB = dcoord("w"), dcoord(b)
+        terms.append((A @ dB @ U + B @ dA @ U - (A @ U @ dB).scale(2)).scale(third))
+    for (a, b), (p, q) in ((("y", "z"), ("w", "x")), (("z", "x"), ("w", "y")), (("x", "y"), ("w", "z"))):
+        A, B, U = coord(a), coord(b), u(p, q)
+        dA, dB = dcoord(a), dcoord(b)
+        terms.append((B @ dA @ U - A @ dB @ U).scale(third))
+    return poly_sum(t.trace() for t in terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_phi_matches_reference(fermat_presentation, n):
+    dr = DeRhamAlgebra(matricize(fermat_presentation, n))
+    phi, want = build_phi(dr), build_phi_reference(dr)
+    assert phi == want
+    assert str(phi) == str(want)
 
 
 def test_phi_and_omega_keep_exact_thirds(fermat_dr1, fermat_dr2):

@@ -6,7 +6,7 @@ import pytest
 
 from dgquot import (
     AlgebraInput,
-    CDGAMatrix,
+    DimensionError,
     GradedPoly,
     NCPoly,
     StructureError,
@@ -16,9 +16,90 @@ from dgquot import (
     gl_action,
     h0_ideal,
     matricize,
+    matrix_image,
 )
+from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
 from dgquot import linalg
+
+
+class CDGAMatrix:
+    """Reference route for `matrix_image`: a square matrix of GradedPolys
+    whose products are sums of GradedPoly products, each checking that the
+    two factors' generator tables agree."""
+
+    __slots__ = ("entries", "n")
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(row) for row in entries)
+        self.n = len(self.entries)
+        if any(len(row) != self.n for row in self.entries):
+            raise DimensionError("CDGAMatrix must be square")
+
+    @staticmethod
+    def identity(n):
+        one, zero = GradedPoly.const(1), GradedPoly.zero()
+        return CDGAMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_gens(block):
+        return CDGAMatrix([[GradedPoly.gen(g) for g in row] for row in block])
+
+    def __getitem__(self, idx):
+        return self.entries[idx]
+
+    def __matmul__(self, other):
+        if self.n != other.n:
+            raise DimensionError("matrix size mismatch")
+        n = self.n
+        return CDGAMatrix(
+            [
+                [poly_sum(self.entries[mu][rho] * other.entries[rho][nu] for rho in range(n))
+                 for nu in range(n)]
+                for mu in range(n)
+            ]
+        )
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise DimensionError("matrix size mismatch")
+        return CDGAMatrix([[a + b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return CDGAMatrix([[-p for p in row] for row in self.entries])
+
+    def scale(self, c):
+        return CDGAMatrix([[p.scale(c) for p in row] for row in self.entries])
+
+    def trace(self):
+        return poly_sum(self.entries[mu][mu] for mu in range(self.n))
+
+    def is_zero(self):
+        return all(p.is_zero() for row in self.entries for p in row)
+
+    def __eq__(self, other):
+        return isinstance(other, CDGAMatrix) and self.entries == other.entries
+
+    __hash__ = None
+
+
+def word_matrix_reference(blocks, n, word):
+    out = CDGAMatrix.identity(n)
+    for g in word:
+        out = out @ CDGAMatrix.from_gens(blocks[g.name])
+    return out
+
+
+def poly_matrix_reference(blocks, n, p):
+    zero = GradedPoly.zero()
+    acc = CDGAMatrix([[zero] * n for _ in range(n)])
+    for w, c in sorted(p.terms.items(), key=lambda wc: tuple(g.sort_key for g in wc[0])):
+        acc = acc + word_matrix_reference(blocks, n, w).scale(c)
+    return acc
 
 
 def test_matricize_rank_validation(presentations):
@@ -27,11 +108,11 @@ def test_matricize_rank_validation(presentations):
 
 
 def _eager_diff(chart) -> dict:
-    """Every chart differential, built up front as matricize once did."""
+    """Every chart differential, built up front by the reference route."""
     pres = chart.source
     diff = {}
     for g in pres.generators:
-        mat = chart.poly_matrix(pres.diff[g])
+        mat = poly_matrix_reference(chart.blocks, chart.n, pres.diff[g])
         block = chart.blocks[g.name]
         for mu in range(chart.n):
             for nu in range(chart.n):
@@ -103,13 +184,16 @@ def test_fermat_syzygy_differential_is_power_sum(charts):
     chart = charts[("fermat", 2)]
     pres = chart.source
     s = pres.syzygies[0]
-    blocks = [chart.entry_matrix(v) for v in pres.variables]
-    acc = CDGAMatrix.identity(2)
+    blocks = [CDGAMatrix.from_gens(chart.blocks[v.name]) for v in pres.variables]
     total = None
     for m in blocks:
         p5 = m @ m @ m @ m @ m
         total = p5 if total is None else total + p5
     total = total + CDGAMatrix.identity(2)
+    power_sum = NCPoly.const(1)
+    for v in pres.variables:
+        power_sum = power_sum + NCPoly.word((v,) * 5)
+    assert CDGAMatrix(matrix_image(chart.blocks, 2, power_sum)) == total
     for mu in range(2):
         for nu in range(2):
             assert chart.diff[chart.blocks[s.name][mu][nu]] == total[mu][nu]
@@ -130,27 +214,58 @@ def test_word_matrix_multiplicative(charts):
     for _ in range(100):
         w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
         w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-        lhs = chart.word_matrix(w1 + w2)
-        rhs = chart.word_matrix(w1) @ chart.word_matrix(w2)
+        lhs = CDGAMatrix(matrix_image(chart.blocks, 2, NCPoly.word(w1 + w2)))
+        rhs = CDGAMatrix(matrix_image(chart.blocks, 2, NCPoly.word(w1)))
+        rhs = rhs @ CDGAMatrix(matrix_image(chart.blocks, 2, NCPoly.word(w2)))
         assert lhs == rhs
+        assert lhs == word_matrix_reference(chart.blocks, 2, w1 + w2)
+
+
+def trace_image(chart, p):
+    image = matrix_image(chart.blocks, chart.n, p)
+    return poly_sum(image[mu][mu] for mu in range(chart.n))
 
 
 def test_trace_examples(charts, presentations):
-    assert CDGAMatrix.identity(3).trace().constant() == 3
+    chart3 = matricize(presentations["k[x,y]"], 3)
+    assert trace_image(chart3, NCPoly.const(1)).constant() == 3
     # trace of a commutator of entry matrices vanishes identically
     for n in (1, 2, 3):
         chart = matricize(presentations["k[x,y]"], n)
         x, y = chart.source.variables
-        xm, ym = chart.entry_matrix(x), chart.entry_matrix(y)
-        assert (xm @ ym - ym @ xm).trace().is_zero()
+        commutator = NCPoly.word((x, y)) - NCPoly.word((y, x))
+        assert trace_image(chart, commutator).is_zero()
+        xm, ym = (CDGAMatrix.from_gens(chart.blocks[v.name]) for v in (x, y))
+        assert CDGAMatrix(matrix_image(chart.blocks, n, commutator)) == xm @ ym - ym @ xm
     # degree-0 times degree -1 at n = 1
     chart1 = charts[("k[x,y]", 1)]
+    x = chart1.source.variables[0]
     a = chart1.source.commutators[(0, 1)]
-    w = chart1.entry_matrix(chart1.source.variables[0])
-    u = chart1.entry_matrix(a)
-    tr = (w @ u).trace()
+    tr = trace_image(chart1, NCPoly.word((x, a)))
     gp = GradedPoly.gen
     assert tr == gp(chart1.blocks["x"][0][0]) * gp(chart1.blocks[a.name][0][0])
+    assert tr == word_matrix_reference(chart1.blocks, 1, (x, a)).trace()
+
+
+@pytest.mark.parametrize("name", ["sphere", "k[x,y,z]", "fermat"])
+def test_trace_is_graded_cyclic(presentations, name):
+    # tr M(uv) = (-1)^(|u||v|) tr M(vu), with Koszul parities, for words
+    # in the letters of degree 0 and -1
+    pres = presentations[name]
+    letters = [g for g in pres.generators if g.degree in (0, -1)]
+    assert {g.degree for g in letters} == {0, -1}
+    rng = random.Random(41)
+    nonzero = 0
+    for n in (1, 2, 3):
+        chart = matricize(pres, n)
+        for _ in range(20):
+            u = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            v = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            sign = -1 if sum(g.degree for g in u) * sum(g.degree for g in v) % 2 else 1
+            uv = trace_image(chart, NCPoly.word(u + v))
+            assert uv == trace_image(chart, NCPoly.word(v + u)).scale(sign), (n, u, v)
+            nonzero += bool(uv)
+    assert nonzero > 30  # most pairs, so the identity is not met on zeros alone
 
 
 def test_h0_ideal_counts(charts):

@@ -15,10 +15,12 @@ from dgquot import (
     graded_commutator,
     lift_to_free,
     matricize,
+    matrix_image,
     parse_poly,
 )
 from dgquot.parser import variable_gens
 from dgquot.serialize import free_presentation_json
+from tests.test_repify import CDGAMatrix, poly_matrix_reference, word_matrix_reference
 
 
 def test_algebra_input_validation():
@@ -178,8 +180,6 @@ def test_ordering_override_requires_permutation(fermat_input):
 def _sort_word_with_corrections(chart, word, rank_of):
     """Bubble-sort a degree-0 word, accumulating the commutator-matrix
     corrections: Mat(word) = Mat(sorted word) + correction."""
-    from dgquot.repify import CDGAMatrix
-
     n = chart.n
     correction = CDGAMatrix([[GradedPoly.zero()] * n for _ in range(n)])
     word = list(word)
@@ -189,9 +189,10 @@ def _sort_word_with_corrections(chart, word, rank_of):
         for i in range(len(word) - 1):
             a, b = word[i], word[i + 1]
             if rank_of[a] > rank_of[b]:
-                prefix = chart.word_matrix(tuple(word[:i]))
-                suffix = chart.word_matrix(tuple(word[i + 2 :]))
-                bracket = chart.word_matrix((a, b)) - chart.word_matrix((b, a))
+                prefix = word_matrix_reference(chart.blocks, n, tuple(word[:i]))
+                suffix = word_matrix_reference(chart.blocks, n, tuple(word[i + 2 :]))
+                bracket = (word_matrix_reference(chart.blocks, n, (a, b))
+                           - word_matrix_reference(chart.blocks, n, (b, a)))
                 correction = correction + prefix @ bracket @ suffix
                 word[i], word[i + 1] = word[i + 1], word[i]
                 changed = True
@@ -212,8 +213,10 @@ def test_lift_ordering_changes_only_by_commutator_ideal():
     lift_fwd = lift_to_free(f, pres_fwd.variables)
     lift_rev = lift_to_free(f, list(reversed(pres_fwd.variables)))
     assert lift_fwd != lift_rev
-    mat_fwd = chart.poly_matrix(lift_fwd)
-    mat_rev = chart.poly_matrix(lift_rev)
+    mat_fwd = CDGAMatrix(matrix_image(chart.blocks, 2, lift_fwd))
+    mat_rev = CDGAMatrix(matrix_image(chart.blocks, 2, lift_rev))
+    assert mat_fwd == poly_matrix_reference(chart.blocks, 2, lift_fwd)
+    assert mat_rev == poly_matrix_reference(chart.blocks, 2, lift_rev)
     assert mat_fwd != mat_rev
 
     total = None
@@ -227,7 +230,7 @@ def test_lift_ordering_changes_only_by_commutator_ideal():
     # every bracket entry is a differential of a degree -1 entry generator,
     # so the correction lies in the truncation ideal; spot-check one bracket
     x, y = pres_fwd.variables[0], pres_fwd.variables[1]
-    bracket = chart.word_matrix((x, y)) - chart.word_matrix((y, x))
+    bracket = matrix_image(chart.blocks, 2, NCPoly.word((x, y)) - NCPoly.word((y, x)))
     a_xy_block = chart.blocks[pres_fwd.commutators[(0, 1)].name]
     for mu in range(2):
         for nu in range(2):

@@ -115,3 +115,40 @@ def test_no_true_division_on_coefficients(tmp_path):
     assert true_divisions(probe) == ["m.py:3", "m.py:6"]
 
     assert [entry for name in COEFFICIENT_MODULES for entry in true_divisions(SRC / name)] == []
+
+
+def function_local_imports(path: Path) -> list:
+    """Every import statement inside a function body, run at call time."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_no_function_local_imports(tmp_path):
+    # the finder itself: module-level and conditional imports pass; one in a
+    # function, one in a nested function and one in a method are found once each
+    probe = tmp_path / "m.py"
+    probe.write_text(
+        "import os\n"
+        "if os.name:\n"
+        "    import sys\n"
+        "def f():\n"
+        "    from math import comb\n"
+        "    def g():\n"
+        "        import json\n"
+        "    return comb\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        import re\n"
+    )
+    assert function_local_imports(probe) == ["m.py:5", "m.py:7", "m.py:11"]
+
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for p in modules for entry in function_local_imports(p)] == []
