@@ -1,11 +1,11 @@
-"""Exact rational dense linear algebra: small matrices over Fraction.
+"""Exact rational dense linear algebra: small matrices over the rationals.
 
-Matrices are tuples of tuples of Fraction.  There is one elimination
-routine, `_echelon`: it clears each row's denominators and runs
-fraction-free (Bareiss) elimination over the integers.  `rank` counts its
-pivots, `nullspace` back-substitutes over its integer rows, and `inverse`
-reads A^-1 off the kernel of [A | -I].  There are no tolerance parameters
-anywhere.
+Matrices are tuples of tuples whose entries are ints or Fractions.  There
+is one elimination routine, `_echelon`: it clears each row's denominators
+and runs fraction-free (Bareiss) elimination over the integers.  `rank`
+counts its pivots, `nullspace` back-substitutes over its integer rows, and
+`inverse` reads A^-1 off the kernel of [A | -I].  There are no tolerance
+parameters anywhere.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if mat_shape(a) != mat_shape(b):
         raise DimensionError("matrix shape mismatch in add")
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if mat_shape(a) != mat_shape(b):
-        raise DimensionError("matrix shape mismatch in sub")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
@@ -122,7 +116,7 @@ def _echelon(a) -> tuple:
     echelon rows (integer lists) and their pivot columns; row i is zero
     left of pivots[i], and every row below it is zero in that column.
     """
-    rows = [_clear_row([Fraction(x) for x in row]) for row in a]
+    rows = [_clear_row(row) for row in a]
     rows = [r for r in rows if any(r)]
     pivots: list = []
     ncols = len(rows[0]) if rows else 0
@@ -188,22 +182,6 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(v[i] for v in cols) for i in range(n))
 
 
-def charpoly(a: Matrix) -> list:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] via
-    Faddeev-LeVerrier, so det(tI - A) = t^n + c1 t^(n-1) + ... + cn."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise DimensionError("charpoly of a non-square matrix")
-    coeffs = [Fraction(1)]
-    nmat = identity(n)
-    for k in range(1, n + 1):
-        man = mat_mul(a, nmat)
-        ck = -mat_trace(man) / k
-        coeffs.append(ck)
-        nmat = mat_add(man, mat_scale(identity(n), ck))
-    return coeffs
-
-
 def _divisors(n: int) -> list:
     n = abs(n)
     out = []
@@ -219,7 +197,8 @@ def _divisors(n: int) -> list:
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list:
     """All rational roots (with multiplicity) of a polynomial given by
-    descending coefficients; deflates as it goes."""
+    descending coefficients; deflates as it goes.  Unused in the package,
+    but perfbench/tracing.py wraps this name."""
     work = [Fraction(x) for x in coeffs]
     while len(work) > 1 and not work[0]:
         work.pop(0)

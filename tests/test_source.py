@@ -86,7 +86,7 @@ def test_no_unreferenced_private_helpers(tmp_path):
 
 # Modules whose arithmetic reaches polynomial coefficients.  Those are ints
 # when integral, and int / int is a float, so these modules never divide.
-COEFFICIENT_MODULES = ("algebra.py", "repify.py", "resolution.py", "derham.py")
+COEFFICIENT_MODULES = ("algebra.py", "repify.py", "resolution.py", "derham.py", "tangent.py", "points.py")
 
 
 def true_divisions(path: Path) -> list:

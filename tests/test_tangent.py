@@ -243,19 +243,16 @@ def test_koszul_oracle_values():
 def test_support_detection(corpus):
     src = corpus["k[x,y,z]"]
     pt = diag_point([(0, 0, 0), (1, 2, 3)], src.relations, src.var_gens)
-    assert detect_reduced_support(pt) == [
-        (F(0), F(0), F(0)),
-        (F(1), F(2), F(3)),
-    ]
+    assert detect_reduced_support(pt) is True
     rng = random.Random(29)
     g = rand_invertible(rng, 2)
-    assert detect_reduced_support(gl_action(g, pt)) == detect_reduced_support(pt)
+    assert detect_reduced_support(gl_action(g, pt)) is True
     # repeated support is not reduced-distinct
     rep = diag_point([(1, 2, 3), (1, 2, 3)], src.relations, src.var_gens)
-    assert detect_reduced_support(rep) is None
+    assert detect_reduced_support(rep) is False
     # noncommuting matrices are not a module over the polynomial ring
     bad = MatrixPoint(([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]), (F(1), F(0)))
-    assert detect_reduced_support(bad) is None
+    assert detect_reduced_support(bad) is False
 
 
 def test_support_detection_separates_points_that_collide_at_small_weights(presentations, corpus):
@@ -264,32 +261,55 @@ def test_support_detection_separates_points_that_collide_at_small_weights(presen
     src = corpus["k[x,y,z]"]
     tuples = [(0, 0, 0), (2, -3, 1), (15, -8, 1), (77, -18, 1)]
     pt = diag_point(tuples, src.relations, src.var_gens)
-    assert detect_reduced_support(pt) == sorted(tuple(F(x) for x in tup) for tup in tuples)
+    assert detect_reduced_support(pt) is True
     q = quot_tangent_check(matricize(presentations["k[x,y,z]"], 4), pt)
     assert q.oracle == (12, 12, 4)
     assert q.cohomology.as_tuple() == (28, 12, 4)
     assert q.checks and all(q.checks.values()) and q.ok
 
 
-def test_support_detection_stops_at_a_nondiagonalizable_combination(monkeypatch):
-    # a stable point supported at one point of A^3 with multiplicity 5: the
-    # first weight already shows a 5-fold eigenvalue with a 1-dim eigenspace
-    from dgquot import linalg
-
+def test_support_detection_rejects_a_nondiagonalizable_point():
+    # a stable point supported at one point of A^3 with multiplicity 5
     n = 5
     jordan = [[200 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
     zero = [[0] * n for _ in range(n)]
     pt = MatrixPoint((jordan, zero, zero), tuple(F(int(i == n - 1)) for i in range(n)))
-    calls = []
-    real = linalg.rational_roots
+    assert detect_reduced_support(pt) is False
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return real(coeffs)
 
-    monkeypatch.setattr(linalg, "rational_roots", counted)
-    assert detect_reduced_support(pt) is None
-    assert len(calls) == 1
+@pytest.mark.parametrize(
+    "x, cohomology, oracle",
+    [
+        ([[0, 2], [1, 0]], (10, 6, 2), (6, 6, 2)),  # X^2 = 2: two real irrational points
+        ([[0, -1], [1, 0]], (10, 6, 2), (6, 6, 2)),  # X^2 = -1: two complex conjugate points
+        ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], (18, 9, 3), (9, 9, 3)),  # X^3 = 2: cube roots of 2
+    ],
+)
+def test_irrational_support_gets_the_oracle(presentations, x, cohomology, oracle):
+    # (X, X + 3, 2X - 1) commute, and the framing e_1 is cyclic for X; the
+    # support is (a, a + 3, 2a - 1) over the eigenvalues a of X
+    x = linalg.as_matrix(x)
+    n = len(x)
+    one = linalg.identity(n)
+    y = linalg.mat_add(x, linalg.mat_scale(one, 3))
+    z = linalg.mat_add(linalg.mat_scale(x, 2), linalg.mat_scale(one, -1))
+    pt = MatrixPoint((x, y, z), one[0])
+    assert detect_reduced_support(pt) is True
+    q = quot_tangent_check(matricize(presentations["k[x,y,z]"], n), pt)
+    assert q.oracle == oracle and q.cohomology.as_tuple() == cohomology
+    assert q.ok and not q.note
+
+
+def test_support_detection_with_entries_near_ten_to_the_twelve(charts, corpus):
+    # the cost of the support test must not grow with the size of the entries
+    big = 10**12
+    src = corpus["k[x,y,z]"]
+    pt = diag_point([(big + 3, big + 7, big + 11), (big + 4, big + 7, big + 11)], src.relations, src.var_gens)
+    moved = gl_action([[1, 1], [0, 1]], pt)
+    assert detect_reduced_support(moved) is True
+    q = quot_tangent_check(charts[("k[x,y,z]", 2)], moved)
+    assert q.oracle == (6, 6, 2) and q.cohomology.as_tuple() == (10, 6, 2)
+    assert q.ok
 
 
 def test_quot_tangent_checks(charts, corpus):
