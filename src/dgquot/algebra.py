@@ -118,25 +118,28 @@ def mono_mul(a: Monomial, b: Monomial):
         return 1, b
     if not b:
         return 1, a
-    # suffix[i] = parity of the product of a[i:], for the crossing sign
-    la = len(a)
-    suffix = [0] * (la + 1)
-    for k in range(la - 1, -1, -1):
-        g, e = a[k]
-        suffix[k] = (suffix[k + 1] + g.parity * e) % 2
+    # An odd factor of b moving past the unconsumed part of a flips the sign
+    # when that part is odd.  Its parity is found when an odd factor of b
+    # first needs it, then kept as a is consumed.
+    rest = None
     sign = 0
     out = []
     i = j = 0
-    lb = len(b)
+    la, lb = len(a), len(b)
     while i < la and j < lb:
         ga, ea = a[i]
         gb, eb = b[j]
         ka, kb = ga.sort_key, gb.sort_key
         if ka < kb:
             out.append(a[i])
+            if rest is not None:
+                rest ^= ga.parity * ea & 1
             i += 1
         elif ka > kb:
-            sign ^= gb.parity * eb * suffix[i] & 1
+            if gb.parity * eb & 1:
+                if rest is None:
+                    rest = sum(g.parity * e for g, e in a[i:]) & 1
+                sign ^= rest
             out.append(b[j])
             j += 1
         else:

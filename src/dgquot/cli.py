@@ -34,6 +34,7 @@ from .serialize import (
     free_presentation_json,
     load_manifest,
     scalar_str,
+    write_canonical,
 )
 from .tangent import quot_tangent_check
 
@@ -328,14 +329,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.dumps()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_canonical(report.to_json(), fh.write)
     for result in report.results:
         print(f"{result['task']}: {result['status']}")
     if not args.out:
-        print(text, end="")
+        write_canonical(report.to_json(), sys.stdout.write)
     return 0 if report.ok else 1
 
 

@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgquot import GenSym, GradedPoly, NCPoly, StructureError, extend_derivation, graded_commutator
-from dgquot.algebra import make_monomial, poly_sum
+from dgquot.algebra import make_monomial, mono_mul, poly_sum
 
 X = GenSym("x", 0, "variable")
 Y = GenSym("y", 0, "variable")
@@ -290,6 +290,62 @@ def test_monomial_product_sign_consistency(ma, mb):
     ab, ba = a * b, b * a
     # products agree up to the Koszul sign, and squares of odd parts vanish
     assert ab == ba or ab == -ba
+
+
+def mono_mul_reference(a, b):
+    """mono_mul with a suffix-parity list built on every call."""
+    if not a:
+        return 1, b
+    if not b:
+        return 1, a
+    # suffix[i] = parity of the product of a[i:], for the crossing sign
+    la = len(a)
+    suffix = [0] * (la + 1)
+    for k in range(la - 1, -1, -1):
+        g, e = a[k]
+        suffix[k] = (suffix[k + 1] + g.parity * e) % 2
+    sign = 0
+    out = []
+    i = j = 0
+    lb = len(b)
+    while i < la and j < lb:
+        ga, ea = a[i]
+        gb, eb = b[j]
+        ka, kb = ga.sort_key, gb.sort_key
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif ka > kb:
+            sign ^= gb.parity * eb * suffix[i] & 1
+            out.append(b[j])
+            j += 1
+        else:
+            if ga.parity:
+                return 0, None
+            out.append((ga, ea + eb))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return (-1 if sign else 1), tuple(out)
+
+
+# plain and de Rham generators of every degree: both parities at each degree
+MIXED_GENS = GENS + [GenSym(g.name, g.degree, g.kind, dform=True) for g in GENS]
+SORTED_MONOMIALS = st.dictionaries(st.sampled_from(MIXED_GENS), st.integers(1, 3), max_size=6).map(
+    lambda m: tuple(sorted(m.items(), key=lambda ge: ge[0].sort_key))
+)
+
+
+DX, DY = (GenSym(g.name, g.degree, g.kind, dform=True) for g in (X, Y))
+
+
+@settings(max_examples=400, deadline=None)
+@given(SORTED_MONOMIALS, SORTED_MONOMIALS)
+# dx passes the even dy·v; once dy is consumed, u passes the odd rest v
+@example(((DY, 1), (V, 1)), ((DX, 1), (U, 1)))
+def test_mono_mul_matches_suffix_parity_reference(a, b):
+    assert mono_mul(a, b) == mono_mul_reference(a, b)
 
 
 def test_poly_sum_matches_naive():

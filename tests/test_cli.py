@@ -106,6 +106,27 @@ def test_main_runs_single_task(tmp_path):
     assert rep["results"][0]["count"] == 7
 
 
+def test_main_streams_the_canonical_report(tmp_path, capsys):
+    path = MANIFESTS / "fermat_n2.json"
+    want = run(load_manifest(str(path)), ["repify"]).to_json(include_wall_time=False)["results"]
+    out = tmp_path / "report.json"
+    assert main(["repify", "--manifest", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "repify: pass\n"
+    text = out.read_text()
+    assert text.endswith("}\n")
+    rep = json.loads(text)
+    assert rep["results"] == want
+    assert text == canonical(rep)
+
+    assert main(["repify", "--manifest", str(path)]) == 0
+    status, text = capsys.readouterr().out.split("\n", 1)
+    assert status == "repify: pass"
+    assert text.endswith("}\n")
+    rep = json.loads(text)
+    assert rep["results"] == want
+    assert text == canonical(rep)
+
+
 def test_main_n_override(tmp_path):
     out = tmp_path / "report.json"
     code = main(["h0", "--manifest", str(MANIFESTS / "fermat_n1.json"), "--n", "2", "--out", str(out)])

@@ -152,3 +152,39 @@ def test_no_function_local_imports(tmp_path):
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [entry for p in modules for entry in function_local_imports(p)] == []
+
+
+def indented_json_calls(path: Path) -> list:
+    """Every json.dump/json.dumps call that passes `indent=`, however imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            or isinstance(node.func, ast.Name) and node.func.id in ("dump", "dumps")
+        )
+        and any(kw.arg == "indent" for kw in node.keywords)
+    )
+
+
+def test_one_report_encoder(tmp_path):
+    # the finder itself: indented calls through the module and through a bare
+    # import are found; a compact call and another object's dumps pass
+    probe = tmp_path / "m.py"
+    probe.write_text(
+        "import json\n"
+        "from json import dump\n"
+        "a = json.dumps({}, indent=2)\n"
+        "b = json.dumps({}, sort_keys=True, separators=(',', ':'))\n"
+        "dump({}, fh, indent=None)\n"
+        "c = pickle.dumps({}, indent=2)\n"
+    )
+    assert indented_json_calls(probe) == ["m.py:3", "m.py:5"]
+
+    # reports go through serialize.write_canonical only
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for p in modules for entry in indented_json_calls(p)] == []
