@@ -1,9 +1,11 @@
 """Exact arithmetic for graded-commutative and free associative polynomials.
 
 Coefficients are exact rationals: an int when the value is an integer, else
-a fractions.Fraction.  Constructors canonicalize through _coeff and int
-arithmetic stays int, so the all-integer charts never touch Fraction; an
-integral Fraction result may stay one, equal and hash-equal to the int.
+a fractions.Fraction.  _coeff is the package's one scalar rule, for these
+coefficients and for the entries of linalg's matrices alike.  Constructors
+canonicalize through it and int arithmetic stays int, so the all-integer
+charts and points never touch Fraction; an integral Fraction result may
+stay one, equal and hash-equal to the int.
 Nothing here divides, so no float reaches a coefficient.  Generators carry
 an internal degree <= 0 and a Koszul parity; odd generators anticommute and
 square to zero.  Both polynomial layers are sparse term maps, key -> nonzero

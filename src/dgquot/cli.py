@@ -113,6 +113,13 @@ def _task_h0(pipe: _Pipeline) -> dict:
     }
 
 
+def _points_result(rows: list, ok: bool) -> dict:
+    """A per-point task's result; with no points to check it fails, saying so."""
+    if not rows:
+        return {"status": "fail", "points": rows, "error": "no points in manifest"}
+    return {"status": "pass" if ok else "fail", "points": rows}
+
+
 def _task_stable(pipe: _Pipeline) -> dict:
     chart = pipe.chart()
     rows = []
@@ -126,14 +133,13 @@ def _task_stable(pipe: _Pipeline) -> dict:
                 "stable": is_stable(pt),
             }
         )
-    return {"status": "pass" if rows else "fail", "points": rows,
-            **({} if rows else {"error": "no points in manifest"})}
+    return _points_result(rows, True)
 
 
 def _task_tangent(pipe: _Pipeline) -> dict:
     chart = pipe.chart()
     rows = []
-    ok = bool(pipe.manifest.points)
+    ok = True
     for k, pt in enumerate(pipe.manifest.points):
         try:
             quot = quot_tangent_check(chart, pt)
@@ -160,7 +166,7 @@ def _task_tangent(pipe: _Pipeline) -> dict:
             entry["oracle"] = None
             entry["oracle_note"] = quot.note
         rows.append(entry)
-    return {"status": "pass" if ok else "fail", "points": rows}
+    return _points_result(rows, ok)
 
 
 def _task_form_check(pipe: _Pipeline) -> dict:
@@ -186,7 +192,7 @@ def _task_pair(pipe: _Pipeline) -> dict:
     dr = pipe.derham()
     om = omega0(dr)
     rows = []
-    ok = bool(pipe.manifest.points)
+    ok = True
     for k, pt in enumerate(pipe.manifest.points):
         try:
             rep = pairing_at(dr, om, pt)
@@ -200,7 +206,7 @@ def _task_pair(pipe: _Pipeline) -> dict:
                 if rep.matrix[i][j]:
                     entries[f"({rg.name}, {cg.name})"] = scalar_str(rep.matrix[i][j])
         rows.append({"point": k, "classical": True, "rank": rep.rank, "entries": entries})
-    return {"status": "pass" if ok else "fail", "points": rows}
+    return _points_result(rows, ok)
 
 
 def _task_selfcheck(pipe: _Pipeline) -> dict:

@@ -190,7 +190,7 @@ def close_check(dr: DeRhamAlgebra, omega: Optional[GradedPoly] = None) -> CloseC
 class PairingReport:
     rows: tuple  # degree-0 generators
     cols: tuple  # degree -1 generators
-    matrix: tuple  # len(rows) x len(cols) rationals
+    matrix: tuple  # len(rows) x len(cols) linalg.Matrix
     rank: int
 
 
@@ -217,7 +217,7 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     for u in cols:
         contraction = extend_derivation(dr.contraction({u: one}), omega, 1)
         # substitute the point: degree-0 values, negatives to zero
-        column = [Fraction(0)] * len(rows)
+        column = [0] * len(rows)
         for mono, c in contraction.terms.items():
             val = c
             dgen = None
@@ -237,10 +237,8 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
                 continue
             column[row_index[dgen]] += val
         matrix.append(column)
-    mat = tuple(zip(*matrix)) if matrix else ()
-    mat = tuple(tuple(row) for row in mat)
-    rank = linalg.rank(mat) if mat else 0
-    return PairingReport(rows, cols, mat, rank)
+    mat = linalg.as_matrix(zip(*matrix))
+    return PairingReport(rows, cols, mat, linalg.rank(mat))
 
 
 @dataclass

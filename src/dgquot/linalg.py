@@ -1,8 +1,12 @@
 """Exact rational dense linear algebra: small matrices over the rationals.
 
-Matrices are tuples of tuples whose entries are ints or Fractions.  There
-is one elimination routine, `_echelon`: it clears each row's denominators
-and runs fraction-free (Bareiss) elimination over the integers.  `rank`
+Matrices are tuples of tuples of scalars under the package's one scalar
+rule, `algebra._coeff`: an int when the value is integral, else a Fraction.
+The constructors and the kernel's one quotient canonicalize through it, and
+int arithmetic stays int, so products and ranks of integer matrices never
+touch Fraction.  There is one elimination routine, `_echelon`: it clears
+each row's denominators and runs fraction-free (Bareiss) elimination over
+the integers.  `rank`
 counts its pivots, `nullspace` back-substitutes over its integer rows, and
 `inverse` reads A^-1 off the kernel of [A | -I].  There are no tolerance
 parameters anywhere.
@@ -14,24 +18,22 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .algebra import Scalar, _coeff
 from .errors import DimensionError, SingularMatrixError
 
 Matrix = tuple
 Vector = tuple
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def as_matrix(rows) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(_coeff(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged matrix rows")
     return out
 
 
 def as_vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(_coeff(x) for x in entries)
 
 
 def mat_shape(a: Matrix):
@@ -39,11 +41,11 @@ def mat_shape(a: Matrix):
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((_ZERO,) * cols for _ in range(rows))
+    return tuple((0,) * cols for _ in range(rows))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -53,7 +55,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
+    c = _coeff(c)
     return tuple(tuple(c * x for x in row) for row in a)
 
 
@@ -66,7 +68,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     b_nonzero = [[(k, y) for k, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [_ZERO] * cb
+        acc = [0] * cb
         for x, b_row in zip(row, b_nonzero):
             if x:
                 for k, y in b_row:
@@ -80,7 +82,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         return ()
     if len(a[0]) != len(v):
         raise DimensionError("matrix/vector size mismatch")
-    return tuple(sum((x * y for x, y in zip(row, v)), _ZERO) for row in a)
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
@@ -93,8 +95,8 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), _ZERO)
+def mat_trace(a: Matrix) -> Scalar:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -104,7 +106,7 @@ def is_zero_matrix(a: Matrix) -> bool:
 def _clear_row(row) -> list:
     """A rational row scaled to coprime integers."""
     den = lcm(*(x.denominator for x in row))
-    ints = [int(x * den) for x in row]
+    ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -149,11 +151,11 @@ def _kernel(rows, pivots, ncols: int) -> list:
     j, with 1 at j and 0 at the other non-pivot columns."""
     basis = []
     for j in sorted(set(range(ncols)) - set(pivots)):
-        vec = [_ZERO] * ncols
-        vec[j] = _ONE
+        vec = [0] * ncols
+        vec[j] = 1
         for row, p in zip(reversed(rows), reversed(pivots)):
-            s = sum((row[k] * vec[k] for k in range(p + 1, ncols) if vec[k]), _ZERO)
-            vec[p] = -s / row[p]
+            s = sum(row[k] * vec[k] for k in range(p + 1, ncols) if vec[k])
+            vec[p] = _coeff(Fraction(-s, row[p]))
         basis.append(tuple(vec))
     return basis
 
@@ -195,49 +197,38 @@ def _divisors(n: int) -> list:
     return sorted(out)
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> list:
+def _synthetic_division(cs, r) -> list:
+    """Horner's scheme at r on descending coefficients: the coefficients of
+    the quotient by (t - r), then the value at r."""
+    out = [cs[0]]
+    for c in cs[1:]:
+        out.append(out[-1] * r + c)
+    return out
+
+
+def rational_roots(coeffs: Sequence[Scalar]) -> list:
     """All rational roots (with multiplicity) of a polynomial given by
     descending coefficients; deflates as it goes.  Unused in the package,
     but perfbench/tracing.py wraps this name."""
-    work = [Fraction(x) for x in coeffs]
+    work = list(as_vector(coeffs))
     while len(work) > 1 and not work[0]:
         work.pop(0)
     roots = []
-
-    def value(cs, r):
-        acc = Fraction(0)
-        for c in cs:
-            acc = acc * r + c
-        return acc
-
-    def deflate(cs, r):
-        out = [cs[0]]
-        for c in cs[1:-1]:
-            out.append(out[-1] * r + c)
-        return out
-
     while len(work) > 1:
         if not work[-1]:
-            roots.append(Fraction(0))
+            roots.append(0)
             work.pop()
             continue
-        den = 1
-        for c in work:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in work]
-        found = None
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if not value(work, cand):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        ints = _clear_row(work)  # the same roots, on integer coefficients
+        candidates = (
+            sign * Fraction(p, q)
+            for p in _divisors(ints[-1])
+            for q in _divisors(ints[0])
+            for sign in (1, -1)
+        )
+        found = next((r for r in candidates if not _synthetic_division(work, r)[-1]), None)
         if found is None:
             break
         roots.append(found)
-        work = deflate(work, found)
+        work = _synthetic_division(work, found)[:-1]
     return roots

@@ -8,7 +8,6 @@ chart; stability is the exact Krylov-closure surjectivity criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -123,7 +122,7 @@ def diag_point(points: Sequence[Sequence], relations: Sequence[GradedPoly], vari
 
     Every tuple must satisfy all relations exactly.
     """
-    pts = [tuple(Fraction(x) for x in tup) for tup in points]
+    pts = [linalg.as_vector(tup) for tup in points]
     n = len(pts)
     if n == 0:
         raise StructureError("need at least one point")
@@ -135,15 +134,11 @@ def diag_point(points: Sequence[Sequence], relations: Sequence[GradedPoly], vari
         for f in relations:
             if f.evaluate(assign).constant():
                 raise StructureError(f"tuple {tup} violates relation {f}")
-    matrices = []
-    for i in range(m):
-        matrices.append(
-            tuple(
-                tuple(pts[d][i] if d == e else Fraction(0) for e in range(n))
-                for d in range(n)
-            )
-        )
-    return MatrixPoint(tuple(matrices), (Fraction(1),) * n)
+    matrices = tuple(
+        tuple(tuple(pts[d][i] if d == e else 0 for e in range(n)) for d in range(n))
+        for i in range(m)
+    )
+    return MatrixPoint(matrices, (1,) * n)
 
 
 def gl_action(g, pt: MatrixPoint) -> MatrixPoint:

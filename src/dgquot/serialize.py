@@ -105,14 +105,20 @@ def point_json(pt: MatrixPoint) -> dict:
     }
 
 
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 def parse_point(obj) -> MatrixPoint:
     if not isinstance(obj, dict) or "matrices" not in obj or "vector" not in obj:
         raise StructureError("a point needs 'matrices' and 'vector'")
-    mats = tuple(
-        tuple(tuple(parse_scalar(x) for x in row) for row in m) for m in obj["matrices"]
+    mats, vec = obj["matrices"], obj["vector"]
+    if not (_is_list_of(mats, list) and all(_is_list_of(m, list) for m in mats) and isinstance(vec, list)):
+        raise StructureError("a point's 'matrices' must be lists of row lists, its 'vector' a list")
+    return MatrixPoint(
+        tuple(tuple(tuple(parse_scalar(x) for x in row) for row in m) for m in mats),
+        tuple(parse_scalar(x) for x in vec),
     )
-    vec = tuple(parse_scalar(x) for x in obj["vector"])
-    return MatrixPoint(mats, vec)
 
 
 TASKS = ("resolve", "repify", "h0", "stable", "tangent", "form-check", "pair", "selfcheck")
@@ -150,19 +156,22 @@ def parse_manifest(obj: dict) -> Manifest:
     if not isinstance(obj, dict):
         raise StructureError("manifest must be a JSON object")
     variables = obj.get("variables")
-    if not isinstance(variables, list) or not variables or not all(isinstance(v, str) for v in variables):
+    if not variables or not _is_list_of(variables, str):
         raise StructureError("manifest 'variables' must be a nonempty list of names")
     relations = obj.get("relations", [])
-    if not isinstance(relations, list) or not all(isinstance(r, str) for r in relations):
+    if not _is_list_of(relations, str):
         raise StructureError("manifest 'relations' must be a list of polynomial strings")
     n = obj.get("n", 1)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StructureError("manifest 'n' must be a positive integer")
     ordering = obj.get("ordering")
     if ordering is not None:
-        if not isinstance(ordering, list) or sorted(ordering) != sorted(variables):
+        if not _is_list_of(ordering, str) or sorted(ordering) != sorted(variables):
             raise StructureError("manifest 'ordering' must be a permutation of variables")
-    points = [parse_point(p) for p in obj.get("points", [])]
+    points = obj.get("points", [])
+    if not isinstance(points, list):
+        raise StructureError("manifest 'points' must be a list of points")
+    points = [parse_point(p) for p in points]
     for pt in points:
         if pt.m != len(variables):
             raise StructureError("point has wrong number of matrices")

@@ -20,7 +20,6 @@ chart; the comparison realizes the n^2 gauge offset in degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -35,7 +34,7 @@ class TangentComplex:
     basis0: tuple  # degree-0 directions (entries then framing, canonical order)
     basis1: tuple  # duals of degree -1 generators
     basis2: tuple  # duals of degree -2 generators
-    d0: tuple  # len(basis1) x len(basis0) rational matrix
+    d0: tuple  # len(basis1) x len(basis0) linalg.Matrix
     d1: tuple  # len(basis2) x len(basis1)
 
     @property
@@ -81,7 +80,7 @@ def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: in
     col = {g: i for i, g in enumerate(columns)}
     rows = {}
     for base in (g for g in chart.source.generators if g.degree == degree):
-        block = [[[Fraction(0)] * len(columns) for _ in range(n)] for _ in range(n)]
+        block = [[[0] * len(columns) for _ in range(n)] for _ in range(n)]
         for word, c in chart.source.diff[base].terms.items():
             neg = [j for j, g in enumerate(word) if g.degree < 0]
             if len(neg) > 1:

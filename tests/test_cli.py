@@ -61,6 +61,16 @@ def test_manifest_validation():
     ]:
         with pytest.raises(DgquotError):
             parse_manifest(bad)
+    # malformed structure is a StructureError, never a raw TypeError
+    for bad in [
+        {"variables": ["x"], "points": 5},
+        {"variables": ["x"], "points": [{"matrices": 5, "vector": ["1"]}]},
+        {"variables": ["x"], "points": [{"matrices": [[["1"]]], "vector": 5}]},
+        {"variables": ["x"], "points": [{"matrices": [[1]], "vector": ["1"]}]},
+        {"variables": ["x"], "ordering": [1, "x"]},
+    ]:
+        with pytest.raises(StructureError):
+            parse_manifest(bad)
 
 
 def test_golden_free_presentation(fermat_input):
@@ -155,6 +165,9 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
     good = MANIFESTS / "fermat_n1.json"
     assert main(["h0", "--manifest", str(good), "--ordering", "a,b,c,d"]) == 2
     assert main(["h0", "--manifest", str(good), "--n", "0"]) == 2
+    bad.write_text(json.dumps({"variables": ["x"], "points": [{"matrices": [[1]], "vector": ["1"]}]}))
+    assert main(["h0", "--manifest", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_main_failing_task_exits_nonzero(tmp_path):
@@ -253,6 +266,16 @@ def test_pair_task_tests_each_point_once(monkeypatch):
     report = run(manifest, ["pair"], command="pair")
     assert report.ok and len(manifest.points) == len(report.results[0]["points"]) > 0
     assert len(calls) == len(manifest.points)
+
+
+def test_point_tasks_name_a_missing_point_list():
+    manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
+    manifest.points = []
+    results = run(manifest, ["stable", "tangent", "pair"]).results
+    assert [r["task"] for r in results] == ["stable", "tangent", "pair"]
+    for result in results:
+        assert result["status"] == "fail" and result["points"] == []
+        assert result["error"] == "no points in manifest"
 
 
 def _corrupted_pipeline(manifest_name):

@@ -6,12 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from dgquot import (
+    AlgebraInput,
     DeRhamAlgebra,
     GradedPoly,
     MatrixPoint,
     NotClassicalError,
     StructureError,
     build_phi,
+    build_resolution,
     check_chart_d_squared,
     close_check,
     diag_point,
@@ -158,6 +160,12 @@ def test_phi_requires_fermat_signature(presentations):
     dr4 = DeRhamAlgebra(matricize(presentations["k[w,x,y,z]"], 1))
     with pytest.raises(StructureError):
         build_phi(dr4)
+    # one relation in w, x, y, z that is not the quintic: the second guard
+    for relation in ("w^3 + x^3 + y^3 + z^3 - 1", "w*x - y*z"):
+        src = AlgebraInput.from_strings(["w", "x", "y", "z"], [relation])
+        dr = DeRhamAlgebra(matricize(build_resolution(src), 1))
+        with pytest.raises(StructureError, match="not the affine quintic"):
+            build_phi(dr)
 
 
 def test_omega0_bidegree(fermat_dr1):
@@ -273,6 +281,34 @@ def test_pairing_rank_invariant_under_conjugation(fermat_dr2, corpus):
         g = rand_invertible(rng, 2)
         moved = gl_action(g, pt)
         assert pairing_at(fermat_dr2, om, moved).rank == base
+
+
+def _scalar_types_follow_one_rule(*matrices) -> bool:
+    """Every entry is an int or a Fraction, and an int when integral."""
+    entries = [x for mat in matrices for row in mat for x in row]
+    return all(
+        type(x) is int or type(x) is F and x.denominator != 1 for x in entries
+    )
+
+
+def test_matrix_entries_are_ints_where_integral(charts, corpus, fermat_dr2):
+    # an integer point of A^3 at n = 2, moved off the diagonal by a
+    # unimodular g whose inverse linalg computes exactly
+    src = corpus["k[x,y,z]"]
+    pt = gl_action(((1, 1), (0, 1)), diag_point([(0, 0, 0), (1, 2, 3)], src.relations, src.var_gens))
+    assert pt.matrices[0] == ((0, 1), (0, 1))
+    assert _scalar_types_follow_one_rule(*pt.matrices, [pt.vector])
+    t = tangent_complex_at(charts[("k[x,y,z]", 2)], pt)
+    assert any(x for row in t.d0 for x in row) and any(x for row in t.d1 for x in row)
+    assert _scalar_types_follow_one_rule(t.d0, t.d1)
+    # integral Fraction inputs are stored as ints
+    assert _scalar_types_follow_one_rule(*MatrixPoint(([[F(4, 2)]],), (F(1),)).matrices)
+    # the pairing passes through omega's thirds, yet integral entries are ints
+    fermat = corpus["fermat"]
+    qpt = diag_point([(-1, 0, 0, 0), (1, -1, -1, 0)], fermat.relations, fermat.var_gens)
+    rep = pairing_at(fermat_dr2, omega0(fermat_dr2), qpt)
+    assert any(x for row in rep.matrix for x in row)
+    assert _scalar_types_follow_one_rule(rep.matrix)
 
 
 def test_invariance_rank_one_and_identity(fermat_dr1, fermat_dr2):

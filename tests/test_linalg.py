@@ -61,10 +61,11 @@ def _ref_nullspace(a) -> list:
 
 def _ref_inverse(a):
     """Reference: Fraction Gauss-Jordan inverse on [A | I]."""
+    a = [[F(x) for x in row] for row in a]
     n = len(a)
     if any(len(row) != n for row in a):
         raise DimensionError("inverse of a non-square matrix")
-    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
@@ -153,10 +154,14 @@ def test_inverse():
     a = linalg.as_matrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
     inv = linalg.inverse(a)
     assert linalg.mat_mul(a, inv) == linalg.identity(3)
-    # integer entries give exact Fractions, not floats
+    # an integral inverse holds ints, and any other entry an exact
+    # Fraction: never a float
     inv_int = linalg.inverse(((2, 1), (1, 1)))
     assert inv_int == ((1, -1), (-1, 2))
-    assert all(type(x) is F for row in inv_int for x in row)
+    assert all(type(x) is int for row in inv_int for x in row)
+    inv_half = linalg.inverse(((2, 0), (0, 1)))
+    assert inv_half == ((F(1, 2), 0), (0, 1))
+    assert [type(x) for row in inv_half for x in row] == [F, int, int, int]
     with pytest.raises(SingularMatrixError):
         linalg.inverse(linalg.as_matrix([[1, 2], [2, 4]]))
     with pytest.raises(DimensionError):

@@ -84,9 +84,12 @@ def test_no_unreferenced_private_helpers(tmp_path):
     assert unreferenced_private_names(modules) == []
 
 
-# Modules whose arithmetic reaches polynomial coefficients.  Those are ints
-# when integral, and int / int is a float, so these modules never divide.
-COEFFICIENT_MODULES = ("algebra.py", "repify.py", "resolution.py", "derham.py", "tangent.py", "points.py")
+# Modules whose arithmetic reaches polynomial coefficients or matrix entries.
+# Those are ints when integral, and int / int is a float, so these modules
+# never divide.
+COEFFICIENT_MODULES = (
+    "algebra.py", "repify.py", "resolution.py", "derham.py", "tangent.py", "points.py", "linalg.py",
+)
 
 
 def true_divisions(path: Path) -> list:
@@ -115,6 +118,47 @@ def test_no_true_division_on_coefficients(tmp_path):
     assert true_divisions(probe) == ["m.py:3", "m.py:6"]
 
     assert [entry for name in COEFFICIENT_MODULES for entry in true_divisions(SRC / name)] == []
+
+
+def fraction_seeds(path: Path) -> list:
+    """Every one-argument `Fraction(<int literal>)`, however Fraction is
+    reached: an integral value is an int under the one scalar rule."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def int_literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction"
+        )
+        and len(node.args) == 1 and not node.keywords and int_literal(node.args[0])
+    )
+
+
+def test_no_fraction_seeds(tmp_path):
+    # the finder itself: integer seeds, signed and through the module, are
+    # found; a ratio, a converted variable and a string literal pass
+    probe = tmp_path / "m.py"
+    probe.write_text(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "a = Fraction(0)\n"
+        "b = [Fraction(-1)] * 3\n"
+        "c = fractions.Fraction(1)\n"
+        "d = Fraction(1, 3) + Fraction(a) + Fraction('2')\n"
+    )
+    assert fraction_seeds(probe) == ["m.py:3", "m.py:4", "m.py:5"]
+
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [entry for p in modules for entry in fraction_seeds(p)] == []
 
 
 def function_local_imports(path: Path) -> list:
