@@ -21,7 +21,10 @@ images built so far.  The de Rham images are cheap and built eagerly.
 Contraction convention: interior products act as odd left derivations
 (iota(ab) = iota(a) b + (-1)^|a| a iota(b)) that kill plain generators.
 The convention is fixed here once and validated by the Cartan-formula
-identities exercised in the tests.
+identities exercised in the tests.  The pairing applies it without running
+a derivation: in omega's term c d(x) d(u) at a point (x of degree 0, u of
+degree -1), d(x) is the one odd factor before d(u), so iota(d(u)) = 1 gives
+-c d(x) and the pairing entry at (x, u) is -c.
 """
 
 from __future__ import annotations
@@ -198,46 +201,29 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     """Chain-level pairing between degree-0 directions and duals of
     degree -1 generators, evaluated at a classical point.
 
-    Column u: contract omega along the dual tangent direction of u (an odd
-    interior product with iota(d(u)) = 1), substitute the point into the
-    degree-0 coordinates, kill the negative-degree coordinates, and read
-    off the coefficients of the surviving d(g) with g of degree 0.
+    The entry at (x, u) is -c, where c is the coefficient of d(x) d(u) in
+    omega at the point (its degree-0 coordinates substituted).  That is the
+    odd interior product with iota(d(u)) = 1, read off at d(x): canonical
+    order puts the plain factors first, then d(x), the one odd factor, then
+    d(u), so iota passes d(x) and picks up the sign -1.  Every other term
+    contracts to zero or keeps a negative-degree factor, which the pairing
+    drops.
     """
     chart = dr.chart
     ok, witness = is_classical_point(pt, chart)
     if not ok:
         raise NotClassicalError("pairing", witness)
-    assign = chart_assignment(chart, pt)
     rows = chart.generators_of_degree(0)
     cols = chart.generators_of_degree(-1)
-    row_index = {g: i for i, g in enumerate(rows)}
-    one = GradedPoly.const(1)
-
-    matrix = []
-    for u in cols:
-        contraction = extend_derivation(dr.contraction({u: one}), omega, 1)
-        # substitute the point: degree-0 values, negatives to zero
-        column = [0] * len(rows)
-        for mono, c in contraction.terms.items():
-            val = c
-            dgen = None
-            dead = False
-            for g, e in mono:
-                if g.dform:
-                    if g.degree != 0 or dgen is not None:
-                        dead = True
-                        break
-                    dgen = dr.delta_base[g]
-                elif g.degree == 0:
-                    val *= assign[g] ** e
-                else:
-                    dead = True
-                    break
-            if dead or dgen is None or not val:
-                continue
-            column[row_index[dgen]] += val
-        matrix.append(column)
-    mat = linalg.as_matrix(zip(*matrix))
+    row_index = {dr.delta[g]: i for i, g in enumerate(rows)}
+    col_index = {dr.delta[g]: j for j, g in enumerate(cols)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for mono, c in omega.evaluate(chart_assignment(chart, pt)).terms.items():
+        if len(mono) == 2:
+            (dx, _), (du, e) = mono
+            if e == 1 and dx in row_index and du in col_index:
+                matrix[row_index[dx]][col_index[du]] -= c
+    mat = linalg.as_matrix(matrix)
     return PairingReport(rows, cols, mat, linalg.rank(mat))
 
 

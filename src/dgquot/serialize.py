@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
-from .algebra import GradedPoly, NCPoly
+from .algebra import GradedPoly, NCPoly, Scalar, _coeff
 from .errors import StructureError
 from .points import MatrixPoint
 from .repify import ChartPresentation
@@ -33,20 +33,20 @@ from .resolution import FreePresentation
 
 
 def scalar_str(value) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_scalar(value) -> Fraction:
+def parse_scalar(value) -> Scalar:
     if isinstance(value, bool):
         raise StructureError("booleans are not scalars")
     if isinstance(value, int):
-        return Fraction(value)
+        return _coeff(value)
     if isinstance(value, str) and _SCALAR_RE.fullmatch(value.strip()):
         try:
-            return Fraction(value)
+            return _coeff(Fraction(value))
         except ZeroDivisionError:
             raise StructureError(f"zero denominator in scalar {value!r}") from None
     raise StructureError(f"bad scalar literal {value!r} (use 'num/den' strings)")
@@ -184,11 +184,15 @@ def parse_manifest(obj: dict) -> Manifest:
 
 
 def load_manifest(path: str) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"manifest is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise StructureError(f"cannot read manifest: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"manifest is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"manifest is not valid JSON: {exc}") from None
     return parse_manifest(obj)
 
 

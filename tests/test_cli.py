@@ -34,6 +34,11 @@ def test_scalar_round_trip():
     assert parse_scalar("-2/3") == Fraction(-2, 3)
     assert parse_scalar(7) == 7
     assert scalar_str(Fraction(-2, 3)) == "-2/3"
+    # one scalar rule: an int where the value is integral
+    assert [type(parse_scalar(v)) for v in ("3", 7, "4/2", " -6/3 ")] == [int] * 4
+    assert type(parse_scalar("-2/4")) is Fraction
+    for value in (3, Fraction(3), Fraction(-2, 3)):
+        assert parse_scalar(scalar_str(value)) == value
     with pytest.raises(StructureError):
         parse_scalar("1/0")
     with pytest.raises(StructureError):
@@ -168,6 +173,20 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
     bad.write_text(json.dumps({"variables": ["x"], "points": [{"matrices": [[1]], "vector": ["1"]}]}))
     assert main(["h0", "--manifest", str(bad)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+def test_main_rejects_missing_manifest(tmp_path, capsys):
+    assert main(["h0", "--manifest", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read manifest")
+
+
+def test_main_rejects_non_utf8_manifest(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"variables": ["\u00e9"], "relations": []}'.encode("latin-1"))
+    with pytest.raises(StructureError, match="not UTF-8"):
+        load_manifest(str(bad))
+    assert main(["h0", "--manifest", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: manifest is not UTF-8")
 
 
 def test_main_failing_task_exits_nonzero(tmp_path):

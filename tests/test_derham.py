@@ -25,7 +25,10 @@ from dgquot import (
     pairing_at,
     tangent_complex_at,
 )
-from dgquot.algebra import poly_sum
+from dgquot import derham
+from dgquot.algebra import extend_derivation, poly_sum
+from dgquot.linalg import as_matrix, rank
+from dgquot.points import chart_assignment
 from tests.test_points import rand_invertible
 from tests.test_repify import CDGAMatrix
 
@@ -261,6 +264,107 @@ def test_pairing_at_rank_one_point(fermat_dr1):
     )
 
 
+def pairing_reference(dr, omega, pt, shift=1):
+    """The pairing one column at a time: contract omega along the dual
+    direction of u (iota(d(u)) = 1, iota an odd derivation when shift is 1
+    and an even one when it is 0), substitute the point, kill the
+    negative-degree coordinates and read off the coefficient of each d(x)
+    with x of degree 0."""
+    chart = dr.chart
+    assign = chart_assignment(chart, pt)
+    rows = chart.generators_of_degree(0)
+    cols = chart.generators_of_degree(-1)
+    row_index = {g: i for i, g in enumerate(rows)}
+    columns = []
+    for u in cols:
+        contraction = extend_derivation(dr.contraction({u: GradedPoly.const(1)}), omega, shift)
+        column = [0] * len(rows)
+        for mono, c in contraction.terms.items():
+            val, dgen = c, None
+            for g, e in mono:
+                if g.dform:
+                    if g.degree != 0 or dgen is not None:
+                        break
+                    dgen = dr.delta_base[g]
+                elif g.degree == 0:
+                    val *= assign[g] ** e
+                else:
+                    break
+            else:
+                if dgen is not None and val:
+                    column[row_index[dgen]] += val
+        columns.append(column)
+    return as_matrix(zip(*columns))
+
+
+def _quintic_points(src, n):
+    """A diagonal point with n distinct quintic points, and the same point
+    conjugated by I + N, N the upper shift, so its matrices are not diagonal."""
+    coords = [(-1, 0, 0, 0), (1, -1, -1, 0), (0, 1, -1, -1)][:n]
+    pt = diag_point(coords, src.relations, src.var_gens)
+    g = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return pt, gl_action(g, pt)
+
+
+def _same_entries(a, b) -> bool:
+    """Equal matrices with the same scalar type in every entry."""
+    return a == b and [type(x) for r in a for x in r] == [type(x) for r in b for x in r]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairing_matches_contraction_reference(fermat_presentation, corpus, monkeypatch, n):
+    # Sign convention: the entry at (x, u) is the odd contraction
+    # iota(d(u)) = 1 read off at d(x).  In omega's canonical order
+    # d(x) d(u), iota passes the one odd factor d(x), so the entry is -1
+    # times the contraction by the even derivation, and -c for the
+    # coefficient c of d(x) d(u) at the point.
+    dr = DeRhamAlgebra(matricize(fermat_presentation, n))
+    om = omega0(dr)
+    pts = _quintic_points(corpus["fermat"], n)
+    assert n == 1 or pts[1].matrices[0] != pts[0].matrices[0]
+    want = [pairing_reference(dr, om, pt) for pt in pts]
+    for ref, pt in zip(want, pts):
+        even = pairing_reference(dr, om, pt, shift=0)
+        assert ref == tuple(tuple(-x for x in row) for row in even)
+        assert any(x for row in ref for x in row)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pairing_at runs a derivation")
+
+    monkeypatch.setattr(derham, "extend_derivation", forbidden)
+    monkeypatch.setattr(DeRhamAlgebra, "contraction", forbidden)
+    for ref, pt in zip(want, pts):
+        rep = pairing_at(dr, om, pt)
+        assert _same_entries(rep.matrix, ref)
+        assert rep.rank == rank(ref)
+
+
+def test_pairing_reads_only_first_order_dx_du_terms(fermat_dr1):
+    # terms that the contraction kills or leaves with a negative-degree
+    # factor add nothing; a plain degree-0 factor is evaluated
+    dr = fermat_dr1
+    (x, y), (u, v) = dr.chart.generators_of_degree(0)[:2], dr.chart.generators_of_degree(-1)[:2]
+    dx, dy, du, dv = (dr.delta[g] for g in (x, y, u, v))
+    extra = [
+        [(dx, 1), (du, 2)],
+        [(dx, 1), (v, 1), (du, 1)],
+        [(du, 1), (dv, 1)],
+        [(dx, 1), (dy, 1)],
+        [(y, 2), (dx, 1), (du, 1)],
+    ]
+    om = omega0(dr) + poly_sum(GradedPoly.monomial(pairs, 5) for pairs in extra)
+    rep = pairing_at(dr, om, FERMAT_PT1)
+    assert _same_entries(rep.matrix, pairing_reference(dr, om, FERMAT_PT1))
+    assert rep.matrix != pairing_at(dr, omega0(dr), FERMAT_PT1).matrix
+
+
+def test_tangent_bases_are_pairing_axes(fermat_dr2, corpus):
+    for pt in _quintic_points(corpus["fermat"], 2):
+        t = tangent_complex_at(fermat_dr2.chart, pt)
+        rep = pairing_at(fermat_dr2, omega0(fermat_dr2), pt)
+        assert t.basis0 == rep.rows and t.basis1 == rep.cols
+
+
 def test_pairing_rejects_nonclassical(fermat_dr1):
     om = omega0(fermat_dr1)
     origin = MatrixPoint(([[0]], [[0]], [[0]], [[0]]), (F(1),))
@@ -329,7 +433,6 @@ def test_invariance_elementary_basis(fermat_dr2):
 
 def test_lie_derivative_recovers_field(fermat_dr2):
     # L_xi(g) = [xi, g] on a coordinate entry, via the Cartan formula
-    from dgquot.algebra import extend_derivation
     from dgquot.derham import conjugation_field
 
     dr = fermat_dr2
