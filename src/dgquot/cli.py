@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from functools import cached_property
 
 from .algebra import GradedPoly
@@ -45,9 +44,8 @@ from .tangent import chart_cohomology  # noqa: F401
 class _Pipeline:
     """Shared lazily-built objects for one manifest."""
 
-    def __init__(self, manifest: Manifest, extended: bool = False):
+    def __init__(self, manifest: Manifest):
         self.manifest = manifest
-        self.extended = extended
         self._charts = {}
         self._derham = {}
 
@@ -136,6 +134,10 @@ def _task_stable(pipe: _Pipeline) -> dict:
     return _points_result(rows, True)
 
 
+def _not_classical_row(k: int, exc: NotClassicalError) -> dict:
+    return {"point": k, "classical": False, "witness": str(exc.witness)}
+
+
 def _task_tangent(pipe: _Pipeline) -> dict:
     chart = pipe.chart()
     rows = []
@@ -144,7 +146,7 @@ def _task_tangent(pipe: _Pipeline) -> dict:
         try:
             quot = quot_tangent_check(chart, pt)
         except NotClassicalError as exc:
-            rows.append({"point": k, "classical": False, "witness": str(exc.witness)})
+            rows.append(_not_classical_row(k, exc))
             ok = False
             continue
         report = quot.cohomology
@@ -197,7 +199,7 @@ def _task_pair(pipe: _Pipeline) -> dict:
         try:
             rep = pairing_at(dr, om, pt)
         except NotClassicalError as exc:
-            rows.append({"point": k, "classical": False, "witness": str(exc.witness)})
+            rows.append(_not_classical_row(k, exc))
             ok = False
             continue
         entries = {}
@@ -213,7 +215,7 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
     checks = {}
     pres = pipe.presentation
     checks["free_d_squared"] = check_d_squared(pres).ok
-    ranks = sorted({1, 2, pipe.manifest.n} | ({3} if pipe.extended else set()))
+    ranks = sorted({1, 2, pipe.manifest.n})
     for n in ranks:
         checks[f"chart_d_squared_n{n}"] = check_chart_d_squared(pipe.chart(n)).ok
     # de Rham axioms on seeded random elements of the manifest chart
@@ -240,8 +242,6 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
     if is_fermat:
         omegas = {}  # rank -> omega0, built once for closure and invariance
         for n in ranks:
-            if n > 2 and not pipe.extended:
-                continue
             omegas[n] = omega0(pipe.derham(n))
             checks[f"form_closure_n{n}"] = close_check(pipe.derham(n), omegas[n]).ok
         inv_ok = True
@@ -272,10 +272,9 @@ _TASK_RUNNERS = {
 }
 
 
-def run(manifest: Manifest, tasks, command: str = "run", extended: bool = False) -> Report:
-    pipe = _Pipeline(manifest, extended=extended)
+def run(manifest: Manifest, tasks, command: str = "run") -> Report:
+    pipe = _Pipeline(manifest)
     report = Report(command=command, input_hash=manifest.input_hash())
-    t0 = time.perf_counter()
     for task in tasks:
         try:
             result = _TASK_RUNNERS[task](pipe)
@@ -283,7 +282,6 @@ def run(manifest: Manifest, tasks, command: str = "run", extended: bool = False)
             result = {"status": "error", "error": str(exc)}
         result = {"task": task, **result}
         report.results.append(result)
-    report.wall_time_s = round(time.perf_counter() - t0, 6)
     return report
 
 
@@ -311,9 +309,6 @@ def main(argv=None) -> int:
             "--ordering", default=None, help="comma-separated variable order override"
         )
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument(
-            "--extended", action="store_true", help="enable slow n=3 suites"
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -330,7 +325,7 @@ def main(argv=None) -> int:
         tasks = manifest.tasks if args.command == "run" else [args.command]
         if not tasks:
             raise DgquotError("manifest has no tasks; pass a subcommand instead of 'run'")
-        report = run(manifest, tasks, command=args.command, extended=args.extended)
+        report = run(manifest, tasks, command=args.command)
     except DgquotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

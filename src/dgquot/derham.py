@@ -126,9 +126,10 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     Phi is a free potential in the letters x, d(x) and a[p,q].  Its six
     terms pair coordinate/coordinate-differential products with the
     commutator generator of the complementary index pair, following the
-    holomorphic-volume-form pattern (w dx - x dw) wedge ...; a[q,p] with q
-    after p stands for -a[p,q].  Its image sends x and a[p,q] to their chart
-    blocks and d(x) to the de Rham symbols of x's block.
+    holomorphic-volume-form pattern (w dx - x dw) wedge ...; the commutator
+    is `pres.oriented_commutator`, so a[q,p] with q after p stands for
+    -a[p,q].  Its image sends x and a[p,q] to their chart blocks and d(x) to
+    the de Rham symbols of x's block.
     In a one-parity Koszul convention the naive antisymmetrized product
     transcription is not d-closed for n >= 2, so the coefficients below
     are the cyclically symmetric solution of the defining constraints:
@@ -139,30 +140,21 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     chart = dr.chart
     _require_fermat(chart)
     pres = chart.source
-    var = {g.name: g for g in pres.variables}
-    dvar = {name: GenSym(f"d({name})", g.degree, g.kind, dform=True) for name, g in var.items()}
-
-    def u(p, q):
-        """(sign, letter): the commutator generator oriented as [p, q]."""
-        i, j = _FERMAT_VARS.index(p), _FERMAT_VARS.index(q)
-        return (1, pres.commutators[(i, j)]) if i < j else (-1, pres.commutators[(j, i)])
-
-    words = []  # (integer coefficient, word); Phi is a third of their sum
-    # couples containing the first coordinate
-    for b, (p, q) in (("x", ("y", "z")), ("y", ("z", "x")), ("z", ("x", "y"))):
-        sign, U = u(p, q)
-        A, B, dA, dB = var["w"], var[b], dvar["w"], dvar[b]
-        words += [(sign, (A, dB, U)), (sign, (B, dA, U)), (-2 * sign, (A, U, dB))]
-    # complementary couples
-    for (a, b), (p, q) in ((("y", "z"), ("w", "x")), (("z", "x"), ("w", "y")), (("x", "y"), ("w", "z"))):
-        sign, U = u(p, q)
-        A, B, dA, dB = var[a], var[b], dvar[a], dvar[b]
-        words += [(sign, (B, dA, U)), (-sign, (A, dB, U))]
-    third = Fraction(1, 3)  # the package's only non-integer coefficient
-    potential = sum((NCPoly.word(w, third * c) for c, w in words), NCPoly.zero())
+    dvar = [GenSym(f"d({g.name})", g.degree, g.kind, dform=True) for g in pres.variables]
+    X = [NCPoly.gen(g) for g in pres.variables]  # w, x, y, z
+    dX = [NCPoly.gen(d) for d in dvar]
+    A = pres.oriented_commutator
+    potential = NCPoly.zero()
+    for k in (1, 2, 3):
+        i, j = k % 3 + 1, (k + 1) % 3 + 1  # k, i, j: x, y, z in cyclic order
+        # the couple of w with x_k, and the complementary couple of x_i with x_j
+        U, V = A(i, j), A(0, k)
+        potential += X[0] * dX[k] * U + X[k] * dX[0] * U - 2 * X[0] * U * dX[k]
+        potential += X[j] * dX[i] * V - X[i] * dX[j] * V
+    potential = potential * Fraction(1, 3)  # the package's only non-integer coefficient
     grids = dict(chart.blocks)
-    for name, d in dvar.items():
-        grids[d.name] = [[dr.delta[g] for g in row] for row in chart.blocks[name]]
+    for g, d in zip(pres.variables, dvar):
+        grids[d.name] = [[dr.delta[h] for h in row] for row in chart.blocks[g.name]]
     image = matrix_image(grids, chart.n, potential)
     return poly_sum(image[mu][mu] for mu in range(chart.n))
 

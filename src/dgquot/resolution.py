@@ -1,12 +1,25 @@
 """Semi-free noncommutative dga resolutions of k[x1..xm]/(f1..fr).
 
-Generators through internal degree -2:
+Generators through internal degree TRUNCATION_DEGREE = -2:
 
-    x_i                    degree  0   d(x_i) = 0
-    a[x_i,x_j]  (i < j)    degree -1   d = [x_i, x_j]
-    s[l]                   degree -1   d = free lift of f_l
-    v[x_i,x_j,x_k] (i<j<k) degree -2   d = cyclic Jacobi pattern
-    t[x_j,l]               degree -2   d = [x_j, s_l] - commutator lift of f_l
+    x_i        degree  0        d(x_i) = 0
+    e_S        degree  1 - |S|  the Koszul subset family, below
+    s[l]       degree -1        d = free lift of f_l
+    t[x_j,l]   degree -2        d = [x_j, s_l] - commutator lift of f_l
+
+The Koszul family has one generator e_S per ascending index tuple S with
+2 <= |S| <= 1 - TRUNCATION_DEGREE: a[x_i,x_j] (kind commutator) for |S| = 2
+and v[x_i,x_j,x_k] (kind jacobi) for |S| = 3.  With e_{i} = x_i, its
+differential is the cobar differential of the exterior coalgebra (Priddy,
+Koszul resolutions, Trans. AMS 152, 1970):
+
+    d e_S = sum over S = I + J, I and J nonempty and disjoint,
+            of (-1)^(inv(I,J) + |I| + 1) e_I e_J
+
+where inv(I, J) counts the pairs i in I, j in J with i > j.  So
+d a[x_i,x_j] = [x_i, x_j] and d v[x_i,x_j,x_k] is the cyclic Jacobi pattern
+[x_i, a[x_j,x_k]] - [x_j, a[x_i,x_k]] + [x_k, a[x_i,x_j]].  For r = 0 the
+family is the whole minimal resolution when m <= 1 - TRUNCATION_DEGREE.
 
 The t-differential carries a minus sign on the correction term: that is the
 unique choice closing d^2 = 0 under the orientation d(a[i,j]) = [x_i, x_j],
@@ -28,6 +41,10 @@ KIND_COMMUTATOR = "commutator"
 KIND_SYZYGY = "relation-syzygy"
 KIND_JACOBI = "jacobi"
 KIND_CORRECTION = "correction"
+
+TRUNCATION_DEGREE = -2  # lowest internal degree of a generator
+# name letter and kind of the Koszul generator e_S, by |S|
+_KOSZUL_NAMES = {2: ("a", KIND_COMMUTATOR), 3: ("v", KIND_JACOBI)}
 
 
 @dataclass(frozen=True)
@@ -70,20 +87,15 @@ class FreePresentation:
     source: AlgebraInput
     ordering: tuple  # variable names, the monomial lift order
     variables: tuple  # degree 0
-    commutators: dict  # (i, j) index pair -> GenSym, i < j
+    koszul: dict  # ascending index tuple S, 2 <= |S| <= 1 - truncation_degree -> e_S
     syzygies: tuple  # one per relation
-    jacobis: dict  # (i, j, k) -> GenSym
     corrections: dict  # (j, l) -> GenSym
     diff: dict = field(repr=False)  # GenSym -> NCPoly
-    truncation_degree: int = -2
+    truncation_degree: int = TRUNCATION_DEGREE
 
     @property
     def generators(self) -> tuple:
-        out = list(self.variables)
-        out += [self.commutators[k] for k in sorted(self.commutators)]
-        out += list(self.syzygies)
-        out += [self.jacobis[k] for k in sorted(self.jacobis)]
-        out += [self.corrections[k] for k in sorted(self.corrections)]
+        out = [*self.variables, *self.koszul.values(), *self.syzygies, *self.corrections.values()]
         return tuple(sorted(out, key=lambda g: g.sort_key))
 
     def d(self, p: NCPoly) -> NCPoly:
@@ -94,8 +106,8 @@ class FreePresentation:
         if i == j:
             return NCPoly.zero()
         if i < j:
-            return NCPoly.gen(self.commutators[(i, j)])
-        return -NCPoly.gen(self.commutators[(j, i)])
+            return NCPoly.gen(self.koszul[(i, j)])
+        return -NCPoly.gen(self.koszul[(j, i)])
 
 
 def lift_to_free(f: GradedPoly, order: Sequence[GenSym]) -> NCPoly:
@@ -147,17 +159,13 @@ def build_resolution(source: AlgebraInput, ordering: Optional[Sequence[str]] = N
     m = len(variables)
     r = len(source.relations)
 
-    commutators = {
-        (i, j): GenSym(f"a[{var_names[i]},{var_names[j]}]", -1, KIND_COMMUTATOR)
-        for i, j in combinations(range(m), 2)
+    koszul = {
+        S: GenSym(f"{letter}[{','.join(var_names[i] for i in S)}]", 1 - size, kind)
+        for size in range(2, 2 - TRUNCATION_DEGREE)
+        for letter, kind in [_KOSZUL_NAMES[size]]
+        for S in combinations(range(m), size)
     }
     syzygies = tuple(GenSym(f"s[{l + 1}]", -1, KIND_SYZYGY) for l in range(r))
-    jacobis = {
-        (i, j, k): GenSym(
-            f"v[{var_names[i]},{var_names[j]},{var_names[k]}]", -2, KIND_JACOBI
-        )
-        for i, j, k in combinations(range(m), 3)
-    }
     corrections = {
         (j, l): GenSym(f"t[{var_names[j]},{l + 1}]", -2, KIND_CORRECTION)
         for j in range(m)
@@ -168,9 +176,8 @@ def build_resolution(source: AlgebraInput, ordering: Optional[Sequence[str]] = N
         source=source,
         ordering=ordering,
         variables=variables,
-        commutators=commutators,
+        koszul=koszul,
         syzygies=syzygies,
-        jacobis=jacobis,
         corrections=corrections,
         diff={},
     )
@@ -178,18 +185,20 @@ def build_resolution(source: AlgebraInput, ordering: Optional[Sequence[str]] = N
     order_gens = [variables[var_names.index(name)] for name in ordering]
     lifts = [lift_to_free(f, order_gens) for f in source.relations]
 
+    def e(S):
+        return variables[S[0]] if len(S) == 1 else koszul[S]
+
     diff = {g: NCPoly.zero() for g in variables}
-    for (i, j), g in commutators.items():
-        diff[g] = graded_commutator(NCPoly.gen(variables[i]), NCPoly.gen(variables[j]))
+    for S, g in koszul.items():
+        terms = {}
+        for size in range(1, len(S)):
+            for I in combinations(S, size):
+                J = tuple(j for j in S if j not in I)
+                inv = sum(i > j for i in I for j in J)
+                terms[(e(I), e(J))] = (-1) ** (inv + size + 1)
+        diff[g] = NCPoly(terms)
     for l, g in enumerate(syzygies):
         diff[g] = lifts[l]
-    for (i, j, k), g in jacobis.items():
-        xi, xj, xk = (NCPoly.gen(variables[t]) for t in (i, j, k))
-        diff[g] = (
-            graded_commutator(xi, pres.oriented_commutator(j, k))
-            + graded_commutator(xj, pres.oriented_commutator(k, i))
-            + graded_commutator(xk, pres.oriented_commutator(i, j))
-        )
     for (j, l), g in corrections.items():
         xj = NCPoly.gen(variables[j])
         diff[g] = graded_commutator(xj, NCPoly.gen(syzygies[l])) - commutator_lift(

@@ -201,26 +201,22 @@ class Report:
     command: str
     input_hash: str
     results: list = field(default_factory=list)  # {"task":..., "status":..., ...}
-    wall_time_s: float = 0.0
 
     @property
     def ok(self) -> bool:
         return all(r.get("status") == "pass" for r in self.results)
 
-    def to_json(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "command": self.command,
             "input_hash": self.input_hash,
             "results": self.results,
             "ok": self.ok,
         }
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
-    def dumps(self, include_wall_time: bool = True) -> str:
+    def dumps(self) -> str:
         buf = io.StringIO()
-        write_canonical(self.to_json(include_wall_time), buf.write)
+        write_canonical(self.to_json(), buf.write)
         return buf.getvalue()
 
 

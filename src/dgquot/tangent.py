@@ -114,10 +114,11 @@ def cohomology_dims(t: TangentComplex) -> CohomologyReport:
 
 def chart_cohomology(chart: ChartPresentation, pt: MatrixPoint) -> CohomologyReport:
     rep = cohomology_dims(tangent_complex_at(chart, pt))
-    src = chart.source.source
-    m, r = len(src.variables), len(src.relations)
-    # for m <= 3 and r = 0 the generator pattern stops at degree -2
-    rep.h2_exact = m <= 3 and r == 0
+    pres = chart.source
+    m, r = len(pres.source.variables), len(pres.source.relations)
+    # for r = 0 the Koszul family, with |S| <= 1 - truncation_degree, is the
+    # whole resolution when it has a generator for every variable subset
+    rep.h2_exact = r == 0 and m <= 1 - pres.truncation_degree
     return rep
 
 

@@ -239,7 +239,7 @@ def test_criterion_8_gl_invariance(fermat_presentation, corpus):
 def test_criterion_9_determinism():
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     runs = [run(manifest, manifest.tasks, command="run") for _ in range(2)]
-    texts = [r.dumps(include_wall_time=False) for r in runs]
+    texts = [r.dumps() for r in runs]
     ok = texts[0] == texts[1]
     ok = ok and texts[0] == (GOLDEN / "fermat_report_n1.json").read_text()
     ok = ok and all(r.ok for r in runs)

@@ -8,6 +8,7 @@ import pytest
 from dgquot import AlgebraInput, DgquotError, StructureError, build_resolution, matricize
 from dgquot import cli, derham, points, tangent
 from dgquot.cli import main, run
+from dgquot.resolution import DSquaredReport
 from dgquot.serialize import (
     chart_presentation_json,
     free_presentation_json,
@@ -102,13 +103,15 @@ def test_report_deterministic_and_matches_golden():
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     first = run(manifest, manifest.tasks, command="run")
     second = run(manifest, manifest.tasks, command="run")
-    assert first.dumps(include_wall_time=False) == second.dumps(include_wall_time=False)
-    assert first.dumps(include_wall_time=False) == (GOLDEN / "fermat_report_n1.json").read_text()
-    # wall time is the only varying field
-    a = first.to_json(include_wall_time=True)
-    a.pop("wall_time_s")
-    b = first.to_json(include_wall_time=False)
-    assert a == b
+    assert first.dumps() == second.dumps()
+    assert first.dumps() == (GOLDEN / "fermat_report_n1.json").read_text()
+
+
+def test_main_run_writes_the_golden_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "--manifest", str(MANIFESTS / "fermat_n1.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "fermat_report_n1.json").read_bytes()
 
 
 def test_main_runs_single_task(tmp_path):
@@ -123,7 +126,7 @@ def test_main_runs_single_task(tmp_path):
 
 def test_main_streams_the_canonical_report(tmp_path, capsys):
     path = MANIFESTS / "fermat_n2.json"
-    want = run(load_manifest(str(path)), ["repify"]).to_json(include_wall_time=False)["results"]
+    want = run(load_manifest(str(path)), ["repify"]).to_json()["results"]
     out = tmp_path / "report.json"
     assert main(["repify", "--manifest", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out == "repify: pass\n"
@@ -241,6 +244,19 @@ def test_selfcheck_task():
     assert checks["form_invariance_n2"]
 
 
+@pytest.mark.extended
+def test_selfcheck_checks_closure_at_every_chart_rank(monkeypatch):
+    # about 7 s, most of it the de Rham axioms on the rank-3 chart; chart d^2
+    # is stubbed, since test_criterion_1_d_squared checks it at rank 3
+    monkeypatch.setattr(cli, "check_chart_d_squared", lambda chart: DSquaredReport(()))
+    manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
+    manifest.n, manifest.points = 3, []
+    checks = run(manifest, ["selfcheck"], command="selfcheck").results[0]["checks"]
+    for n in (1, 2, 3):
+        assert checks[f"chart_d_squared_n{n}"] and checks[f"form_closure_n{n}"]
+    assert all(checks.values())
+
+
 def test_run_requires_tasks(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"variables": ["x"], "relations": []}))
@@ -302,7 +318,7 @@ def _corrupted_pipeline(manifest_name):
     commutator generator has its sign flipped."""
     pipe = cli._Pipeline(load_manifest(str(MANIFESTS / manifest_name)))
     pres = pipe.presentation
-    a = pres.commutators[(0, 1)]
+    a = pres.koszul[(0, 1)]
     pres.diff[a] = -pres.diff[a]
     return pipe
 
@@ -317,7 +333,7 @@ def test_failed_checks_show_leading_residual_terms():
 
     pipe = cli._Pipeline(load_manifest(str(MANIFESTS / "fermat_n2.json")))
     chart = pipe.chart()
-    a = chart.blocks[chart.source.commutators[(0, 1)].name][0][1]
+    a = chart.blocks[chart.source.koszul[(0, 1)].name][0][1]
     chart.diff[a] = -chart.diff[a]
     result = cli._task_form_check(pipe)
     assert result["status"] == "fail" and not result["dint_omega0_zero"]

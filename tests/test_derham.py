@@ -119,8 +119,8 @@ def build_phi_reference(dr):
     def u(i_name, j_name):
         i, j = var_idx[i_name], var_idx[j_name]
         if i < j:
-            return CDGAMatrix.from_gens(chart.blocks[pres.commutators[(i, j)].name])
-        return -CDGAMatrix.from_gens(chart.blocks[pres.commutators[(j, i)].name])
+            return CDGAMatrix.from_gens(chart.blocks[pres.koszul[(i, j)].name])
+        return -CDGAMatrix.from_gens(chart.blocks[pres.koszul[(j, i)].name])
 
     third = F(1, 3)
     terms = []
@@ -213,7 +213,7 @@ def test_closure_builds_no_correction_block(fermat_presentation):
     built = set(dict.keys(chart.diff))  # the memo itself, without forcing it
     corrections = fermat_presentation.corrections.values()
     assert not {g for t in corrections for row in chart.blocks[t.name] for g in row} & built
-    commutator = chart.blocks[fermat_presentation.commutators[(0, 1)].name]
+    commutator = chart.blocks[fermat_presentation.koszul[(0, 1)].name]
     assert commutator[0][0] in built
     assert dict.__len__(dr._dint_images) < 2 * len(chart.generators)
 

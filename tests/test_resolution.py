@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -60,10 +61,10 @@ def test_commutator_lift_examples(fermat_presentation):
     w, x, y, z = pres.variables
     # single letter: xi with d(xi) = [w, x] is exactly a[w,x]
     out = commutator_lift(pres, 0, NCPoly.gen(x))
-    assert out == NCPoly.gen(pres.commutators[(0, 1)])
+    assert out == NCPoly.gen(pres.koszul[(0, 1)])
     # x^5 gives the five-term sandwich pattern
     out5 = commutator_lift(pres, 0, NCPoly.word([x] * 5))
-    a_wx = pres.commutators[(0, 1)]
+    a_wx = pres.koszul[(0, 1)]
     want = NCPoly.zero()
     for i in range(5):
         want = want + NCPoly.word([x] * i + [a_wx] + [x] * (4 - i))
@@ -131,7 +132,7 @@ def test_fermat_correction_differential(fermat_presentation):
     s = pres.syzygies[0]
     want = graded_commutator(NCPoly.gen(w), NCPoly.gen(s))
     for var, pair in ((x, (0, 1)), (y, (0, 2)), (z, (0, 3))):
-        a = pres.commutators[pair]
+        a = pres.koszul[pair]
         for i in range(5):
             want = want - NCPoly.word([var] * i + [a] + [var] * (4 - i))
     assert pres.diff[t_w] == want
@@ -140,14 +141,46 @@ def test_fermat_correction_differential(fermat_presentation):
 def test_jacobi_differential_matches_cyclic_pattern(presentations):
     pres = presentations["k[x,y,z]"]
     x, y, z = pres.variables
-    v = pres.jacobis[(0, 1, 2)]
-    a_xy, a_xz, a_yz = (pres.commutators[k] for k in ((0, 1), (0, 2), (1, 2)))
+    v = pres.koszul[(0, 1, 2)]
+    a_xy, a_xz, a_yz = (pres.koszul[k] for k in ((0, 1), (0, 2), (1, 2)))
     want = (
         graded_commutator(NCPoly.gen(x), NCPoly.gen(a_yz))
         - graded_commutator(NCPoly.gen(y), NCPoly.gen(a_xz))
         + graded_commutator(NCPoly.gen(z), NCPoly.gen(a_xy))
     )
     assert pres.diff[v] == want
+
+
+def hand_written_koszul_reference(pres):
+    """Index tuple -> differential, by the formulas the subset family
+    replaced: d a[x_i,x_j] = [x_i, x_j] and the cyclic Jacobi pattern
+    d v[x_i,x_j,x_k] = [x_i, A(j,k)] + [x_j, A(k,i)] + [x_k, A(i,j)]."""
+    x = [NCPoly.gen(g) for g in pres.variables]
+    A = pres.oriented_commutator
+    m = len(x)
+    want = {(i, j): graded_commutator(x[i], x[j]) for i, j in combinations(range(m), 2)}
+    for i, j, k in combinations(range(m), 3):
+        want[(i, j, k)] = (
+            graded_commutator(x[i], A(j, k))
+            + graded_commutator(x[j], A(k, i))
+            + graded_commutator(x[k], A(i, j))
+        )
+    return want
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_koszul_family_matches_hand_written_formulas(m):
+    names = ["v", "w", "x", "y", "z"][:m]
+    pres = build_resolution(AlgebraInput.from_strings(names, []))
+    want = hand_written_koszul_reference(pres)
+    assert sorted(pres.koszul) == sorted(want)
+    for S, g in pres.koszul.items():
+        letter = {2: "a", 3: "v"}[len(S)]
+        assert g.name == f"{letter}[{','.join(names[i] for i in S)}]"
+        assert g.degree == 1 - len(S)
+        assert pres.diff[g] == want[S], g.name
+    rep = check_d_squared(pres)
+    assert rep.ok, rep.failures()[:1]
 
 
 def test_d_squared_corpus(presentations):
@@ -158,7 +191,7 @@ def test_d_squared_corpus(presentations):
 
 def test_d_squared_detects_flipped_sign(presentations):
     pres = build_resolution(presentations["k[x,y,z]"].source)
-    a_xy = pres.commutators[(0, 1)]
+    a_xy = pres.koszul[(0, 1)]
     pres.diff[a_xy] = -pres.diff[a_xy]
     rep = check_d_squared(pres)
     assert not rep.ok
@@ -231,7 +264,7 @@ def test_lift_ordering_changes_only_by_commutator_ideal():
     # so the correction lies in the truncation ideal; spot-check one bracket
     x, y = pres_fwd.variables[0], pres_fwd.variables[1]
     bracket = matrix_image(chart.blocks, 2, NCPoly.word((x, y)) - NCPoly.word((y, x)))
-    a_xy_block = chart.blocks[pres_fwd.commutators[(0, 1)].name]
+    a_xy_block = chart.blocks[pres_fwd.koszul[(0, 1)].name]
     for mu in range(2):
         for nu in range(2):
             assert bracket[mu][nu] == chart.diff[a_xy_block[mu][nu]]

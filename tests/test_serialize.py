@@ -80,5 +80,4 @@ def test_every_report_shape_matches_json_dumps():
     statuses = {r["status"] for report in reports for r in report.results}
     assert statuses == {"pass", "fail", "error"}
     for report in reports:
-        assert report.dumps(include_wall_time=False) == canonical(report.to_json(False))
         assert report.dumps() == canonical(report.to_json())

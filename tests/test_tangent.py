@@ -179,7 +179,7 @@ def test_quintic_tangent_at_rank_four(fermat_presentation, corpus):
 def test_tangent_report_matches_golden(stem):
     manifest = load_manifest(str(MANIFESTS / f"{stem}_n2.json"))
     report = run(manifest, ["tangent"], command="tangent")
-    assert report.dumps(include_wall_time=False) == (GOLDEN / f"{stem}_tangent_n2.json").read_text()
+    assert report.dumps() == (GOLDEN / f"{stem}_tangent_n2.json").read_text()
 
 
 def koszul_ext_reference(m, k_points):
@@ -347,6 +347,17 @@ def test_quot_tangent_no_oracle_cases(charts, corpus):
     sph = diag_point([(1, 0, 0), (1, 0, 0)], src.relations, src.var_gens)
     q3 = quot_tangent_check(charts[("sphere", 2)], sph)
     assert not q3.has_oracle and q3.note == "no oracle: point is not stable"
+
+
+def test_h2_exact_follows_the_truncation_bound(charts, corpus):
+    # r = 0 and m <= 1 - truncation_degree = 3: the Koszul family is complete
+    cases = {"k[x,y,z]": True, "k[w,x,y,z]": False, "sphere": False}
+    for name, exact in cases.items():
+        src = corpus[name]
+        chart = charts[(name, 2)]
+        assert chart.source.truncation_degree == -2
+        rep = chart_cohomology(chart, easy_point(src, name, 2))
+        assert rep.h2_exact is exact, name
 
 
 def test_affine4_truncation_is_upper_bound(presentations):
