@@ -8,7 +8,12 @@ charts and points never touch Fraction; an integral Fraction result may
 stay one, equal and hash-equal to the int.
 Nothing here divides, so no float reaches a coefficient.  Generators carry
 an internal degree <= 0 and a Koszul parity; odd generators anticommute and
-square to zero.  Both polynomial layers are sparse term maps, key -> nonzero
+square to zero.  A generator (GenSym) is a str whose value packs its
+canonical order key, chr(-degree) + chr(dform) + kind + NUL + name, so the
+kernel's merges, sorts, dicts and sets compare and hash generators in C
+with no Python-level method.  That value is internal, and kinds hold no
+NUL; text comes from .name, since str.join and JSON see the raw value.
+Both polynomial layers are sparse term maps, key -> nonzero
 rational, on one private base class that owns canonical construction, the
 linear operations, equality and printing.  They differ only in the key:
 
@@ -21,8 +26,9 @@ linear operations, equality and printing.  They differ only in the key:
 Every differential in the package is a derivation extended from generator
 images by the graded Leibniz rule (extend_derivation).  Each image term is
 spliced into the input key in place: a word splice on the free layer, and
-two monomial merges left * image * right, with their Koszul signs, on the
-graded layer.  No intermediate polynomial is built per term.
+monomial merges left * image * right, with their Koszul signs, on the
+graded layer, where an empty operand takes no merge.  No intermediate
+polynomial is built per term.
 """
 
 from __future__ import annotations
@@ -39,43 +45,45 @@ _ZERO = 0
 _ONE = 1
 
 
-class GenSym:
+class GenSym(str):
     """A named generator with internal degree, kind tag and form flag.
 
     ``dform`` marks the de Rham symbol attached to a base generator; it
     shifts the Koszul parity by one while keeping the internal degree.
-    Equality and hashing are by (name, degree, kind, dform), so rebuilding
-    the same presentation yields interchangeable generators.
+
+    A GenSym is a str whose value encodes its canonical order key,
+    internal degree descending, plain before de Rham, then kind, then name:
+
+        chr(-degree) + chr(dform) + kind + NUL + name
+
+    A kind holds no NUL (checked), so the first NUL after the two lead
+    characters ends it, and a kind that is a prefix of another sorts
+    first, as in the tuple order.  The name comes last and needs no such
+    rule.  So ``==``, ``hash`` and ``<`` are str's own C slots, equality
+    is by (name, degree, kind, dform), and rebuilding the same
+    presentation yields interchangeable generators.  The raw value is
+    internal: str(), format() and f-strings give the name, but
+    ``str.join``, ``+`` and a JSON encoder see the raw value, so text is
+    built from ``.name`` (serialize.write_canonical rejects a GenSym).
     """
 
-    __slots__ = ("name", "degree", "kind", "dform", "parity", "sort_key", "_hash")
+    __slots__ = ("name", "degree", "kind", "dform", "parity")
 
-    def __init__(self, name: str, degree: int, kind: str, dform: bool = False):
+    def __new__(cls, name: str, degree: int, kind: str, dform: bool = False):
         if degree > 0:
             raise StructureError(f"generator {name!r} has positive degree {degree}")
+        if "\0" in kind:
+            raise StructureError(f"generator kind {kind!r} holds a NUL")
+        self = super().__new__(cls, chr(-degree) + ("\1" if dform else "\0") + kind + "\0" + name)
         self.name = name
         self.degree = degree
         self.kind = kind
         self.dform = dform
         self.parity = (degree + (1 if dform else 0)) % 2
-        # internal degree descending, plain before de Rham, then kind, then name
-        self.sort_key = (-degree, 1 if dform else 0, kind, name)
-        self._hash = hash((name, degree, kind, dform))
+        return self
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GenSym)
-            and self.name == other.name
-            and self.degree == other.degree
-            and self.kind == other.kind
-            and self.dform == other.dform
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "GenSym"):
-        return self.sort_key < other.sort_key
+    def __getnewargs__(self):
+        return (self.name, self.degree, self.kind, self.dform)
 
     def __repr__(self):
         return f"GenSym({self.name!r}, {self.degree}, {self.kind!r}{', dform' if self.dform else ''})"
@@ -83,8 +91,11 @@ class GenSym:
     def __str__(self):
         return self.name
 
+    def __format__(self, spec):
+        return format(self.name, spec)
 
-# A monomial is a tuple of (GenSym, exponent) pairs sorted by sort_key,
+
+# A monomial is a tuple of (GenSym, exponent) pairs sorted by generator,
 # exponents positive, odd generators never squared.
 Monomial = tuple
 
@@ -104,7 +115,7 @@ def make_monomial(pairs: Iterable[tuple]) -> Monomial:
     for g, e in merged.items():
         if g.parity and e > 1:
             return None
-    items = sorted(merged.items(), key=lambda ge: ge[0].sort_key)
+    items = sorted(merged.items())
     names = {}
     for g, _ in items:
         prev = names.get(g.name)
@@ -131,13 +142,12 @@ def mono_mul(a: Monomial, b: Monomial):
     while i < la and j < lb:
         ga, ea = a[i]
         gb, eb = b[j]
-        ka, kb = ga.sort_key, gb.sort_key
-        if ka < kb:
+        if ga < gb:
             out.append(a[i])
             if rest is not None:
                 rest ^= ga.parity * ea & 1
             i += 1
-        elif ka > kb:
+        elif ga > gb:
             if gb.parity * eb & 1:
                 if rest is None:
                     rest = sum(g.parity * e for g, e in a[i:]) & 1
@@ -170,7 +180,7 @@ def mono_grade(m: Monomial) -> int:
 def mono_print_key(m: Monomial):
     # descending graded-lex: higher total exponent first, then earlier
     # generators with higher exponents first
-    return (-mono_grade(m), tuple((g.sort_key, -e) for g, e in m))
+    return (-mono_grade(m), tuple((g, -e) for g, e in m))
 
 
 def _coeff(c: ScalarLike) -> Scalar:
@@ -454,7 +464,7 @@ class NCPoly(_TermMap):
 
     @staticmethod
     def _print_key(w: tuple):
-        return (-len(w), tuple(g.sort_key for g in w))
+        return (-len(w), w)
 
     @staticmethod
     def _factors(w: tuple) -> list:
@@ -518,6 +528,10 @@ def poly_sum(polys: Iterable) -> GradedPoly:
     return GradedPoly(acc, _raw=True)
 
 
+def _no_image(g: GenSym) -> StructureError:
+    return StructureError(f"no derivation image for generator {g.name!r}")
+
+
 def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     """Extend generator images to the unique graded Leibniz derivation.
 
@@ -529,19 +543,15 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     different generator of e raises StructureError.
     """
     odd = degree_shift % 2
-
-    def image(g):
-        try:
-            return images[g]
-        except KeyError:
-            raise StructureError(f"no derivation image for generator {g.name!r}") from None
-
     if isinstance(e, NCPoly):
         acc: dict = {}
         for w, c in e.terms.items():
             par = 0
             for l, g in enumerate(w):
-                img = image(g)
+                try:
+                    img = images[g]
+                except KeyError:
+                    raise _no_image(g) from None
                 if img:
                     sign = -c if (odd and par) else c
                     left, right = w[:l], w[l + 1 :]
@@ -561,7 +571,10 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
         for m, c in e.terms.items():
             par = 0
             for l, (g, ex) in enumerate(m):
-                img = image(g)
+                try:
+                    img = images[g]
+                except KeyError:
+                    raise _no_image(g) from None
                 if img:
                     if g not in checked:
                         e.check_table(img)
@@ -569,15 +582,16 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     sign = -c * ex if (odd and par) else c * ex
                     left = m[:l] + (((g, ex - 1),) if ex > 1 else ())
                     right = m[l + 1 :]
-                    # D(g^ex) contributes left * image-term * right
+                    # D(g^ex) contributes left * image-term * right; an
+                    # empty operand is the unit and takes no merge
                     for m2, c2 in img.terms.items():
-                        s1, lm = mono_mul(left, m2)
+                        s1, key = mono_mul(left, m2) if left and m2 else (1, left or m2)
+                        if s1 and right:
+                            s2, key = mono_mul(key, right) if key else (1, right)
+                            s1 *= s2
                         if not s1:
                             continue
-                        s2, key = mono_mul(lm, right)
-                        if not s2:
-                            continue
-                        s = acc.get(key, _ZERO) + (sign * c2 if s1 == s2 else -sign * c2)
+                        s = acc.get(key, _ZERO) + (sign * c2 if s1 > 0 else -sign * c2)
                         if s:
                             acc[key] = s
                         else:

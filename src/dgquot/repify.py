@@ -87,7 +87,7 @@ class ChartPresentation:
     def generators(self) -> tuple:
         out = [g for block in self.blocks.values() for row in block for g in row]
         out.extend(self.framing)
-        return tuple(sorted(out, key=lambda g: g.sort_key))
+        return tuple(sorted(out))
 
     def generators_of_degree(self, degree: int) -> tuple:
         return tuple(g for g in self.generators if g.degree == degree)

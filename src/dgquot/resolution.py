@@ -96,7 +96,7 @@ class FreePresentation:
     @property
     def generators(self) -> tuple:
         out = [*self.variables, *self.koszul.values(), *self.syzygies, *self.corrections.values()]
-        return tuple(sorted(out, key=lambda g: g.sort_key))
+        return tuple(sorted(out))
 
     def d(self, p: NCPoly) -> NCPoly:
         return extend_derivation(self.diff, p, 1)

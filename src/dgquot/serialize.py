@@ -224,11 +224,14 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` through `write`.
 
     `obj` is a tree of dicts with str keys, lists, tuples, strs, ints, finite
-    floats, bools and None.  Anything else raises TypeError (a finite-float
-    check raises ValueError) before any of its own bytes are written, rather
-    than being written differently.  `write` is called once per token; the
-    strings that open, separate and close a container are built once per
-    nesting level and shared.
+    floats, bools and None.  Strings and keys must be exactly str: a str
+    subclass such as a GenSym, whose raw value is an internal key, raises
+    TypeError.  Anything else raises TypeError too (a finite-float check
+    raises ValueError) before any of its own bytes are written, rather than
+    being written differently.  A list of only str and int items is one
+    `write`, and so is each dict key with the separator before it; other
+    values are one `write` per token.  The strings that open, separate and
+    close a container are built once per nesting level and shared.
     """
     levels = []  # levels[d]: ("[", "{", ",", "]", "}") with the layout of depth d
 
@@ -240,13 +243,25 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
         return levels[depth]
 
     def value(o, depth):
-        if isinstance(o, str):
+        if type(o) is str:
             write(encode_basestring_ascii(o))
         elif isinstance(o, (list, tuple)):
             if not o:
                 write("[]")
                 return
             open_, _, sep, close, _ = level(depth)
+            texts = []  # the items' JSON while every item is exactly a str or an int
+            for item in o:
+                t = type(item)
+                if t is str:
+                    texts.append(encode_basestring_ascii(item))
+                elif t is int:
+                    texts.append(int.__repr__(item))
+                else:
+                    break
+            else:
+                write(open_ + sep.join(texts) + close)
+                return
             write(open_)
             for i, item in enumerate(o):
                 if i:
@@ -259,16 +274,13 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
                 return
             keys = sorted(o)
             for k in keys:
-                if not isinstance(k, str):
+                if type(k) is not str:
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
-            _, open_, sep, _, close = level(depth)
-            write(open_)
-            for i, k in enumerate(keys):
-                if i:
-                    write(sep)
-                write(encode_basestring_ascii(k))
-                write(": ")
+            _, lead, sep, _, close = level(depth)
+            for k in keys:
+                write(lead + encode_basestring_ascii(k) + ": ")
                 value(o[k], depth + 1)
+                lead = sep
             write(close)
         elif o is None:
             write("null")

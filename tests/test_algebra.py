@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,6 +19,13 @@ T = GenSym("t", -2, "correction")
 
 GENS = [X, Y, Z, U, V, T]
 P = GradedPoly.gen
+
+
+def tuple_key(g):
+    """The canonical generator order as a tuple, the reference for GenSym's
+    str order: internal degree descending, plain before de Rham, then kind,
+    then name."""
+    return (-g.degree, 1 if g.dform else 0, g.kind, g.name)
 
 
 def random_poly(rng, gens=GENS, max_terms=4, max_factors=3, max_exp=2):
@@ -47,6 +56,51 @@ def test_mixed_generator_tables_rejected():
         P(X) * P(fake)
     with pytest.raises(StructureError):
         make_monomial([(X, 1), (fake, 1)])
+
+
+# names and kinds where one is a prefix of another, as a[1,1] extends a;
+# a name may hold NUL, because it is compared last
+GEN_TEXT = st.sampled_from(["", "a", "a[1,1]", "a[1,2]", "ab", "d(x)", "x", "x1", "y[1]", "\x00", "a\x00b"])
+GEN_KIND = st.sampled_from(["", "a", "a[1,1]", "ab", "\x01", "variable", "commutator", "matrix-entry"])
+GEN_SYMS = st.builds(GenSym, GEN_TEXT, st.integers(-5, 0), GEN_KIND, st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(GEN_SYMS, GEN_SYMS)
+def test_gensym_order_equality_and_hash_follow_the_tuple_key(g, h):
+    assert (g == h) == (tuple_key(g) == tuple_key(h))
+    assert (g < h) == (tuple_key(g) < tuple_key(h))
+    assert (g > h) == (tuple_key(g) > tuple_key(h))
+    if g == h:
+        assert hash(g) == hash(h)
+    twin = GenSym(g.name, g.degree, g.kind, g.dform)
+    assert twin == g and hash(twin) == hash(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(GEN_SYMS)
+def test_gensym_prints_its_name_and_round_trips(g):
+    assert str(g) == g.name and f"{g}" == g.name and f"{g:>8}" == f"{g.name:>8}"
+    assert repr(g) == f"GenSym({g.name!r}, {g.degree}, {g.kind!r}{', dform' if g.dform else ''})"
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(copied) is GenSym and copied == g and hash(copied) == hash(g)
+        fields = ("name", "degree", "kind", "dform", "parity")
+        assert [getattr(copied, f) for f in fields] == [getattr(g, f) for f in fields]
+
+
+def test_gensym_compares_and_hashes_in_c():
+    # no Python-level method on the kernel's dict, set and merge paths
+    assert GenSym.__hash__ is str.__hash__
+    assert GenSym.__eq__ is str.__eq__
+    assert GenSym.__lt__ is str.__lt__
+    assert not hasattr(X, "__dict__")
+
+
+def test_gensym_rejects_a_nul_kind_and_a_positive_degree():
+    with pytest.raises(StructureError):
+        GenSym("x", 0, "vari\x00able")
+    with pytest.raises(StructureError):
+        GenSym("x", 1, "variable")
 
 
 def test_canonical_form_idempotent():
@@ -311,7 +365,7 @@ def mono_mul_reference(a, b):
     while i < la and j < lb:
         ga, ea = a[i]
         gb, eb = b[j]
-        ka, kb = ga.sort_key, gb.sort_key
+        ka, kb = tuple_key(ga), tuple_key(gb)
         if ka < kb:
             out.append(a[i])
             i += 1
@@ -333,7 +387,7 @@ def mono_mul_reference(a, b):
 # plain and de Rham generators of every degree: both parities at each degree
 MIXED_GENS = GENS + [GenSym(g.name, g.degree, g.kind, dform=True) for g in GENS]
 SORTED_MONOMIALS = st.dictionaries(st.sampled_from(MIXED_GENS), st.integers(1, 3), max_size=6).map(
-    lambda m: tuple(sorted(m.items(), key=lambda ge: ge[0].sort_key))
+    lambda m: tuple(sorted(m.items(), key=lambda ge: tuple_key(ge[0])))
 )
 
 

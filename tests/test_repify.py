@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from dgquot import (
 )
 from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
-from dgquot import linalg
+from dgquot import algebra, linalg
+from tests.test_algebra import tuple_key
 
 
 class CDGAMatrix:
@@ -97,7 +99,7 @@ def word_matrix_reference(blocks, n, word):
 def poly_matrix_reference(blocks, n, p):
     zero = GradedPoly.zero()
     acc = CDGAMatrix([[zero] * n for _ in range(n)])
-    for w, c in sorted(p.terms.items(), key=lambda wc: tuple(g.sort_key for g in wc[0])):
+    for w, c in sorted(p.terms.items(), key=lambda wc: tuple(map(tuple_key, wc[0]))):
         acc = acc + word_matrix_reference(blocks, n, w).scale(c)
     return acc
 
@@ -204,6 +206,23 @@ def test_chart_d_squared_ranks_1_2(charts):
     for (name, n), chart in charts.items():
         rep = check_chart_d_squared(chart)
         assert rep.ok, (name, n, rep.failures()[:1])
+
+
+def test_chart_d_squared_merges_no_empty_operand(presentations, monkeypatch):
+    """extend_derivation splices an image term into an empty side without a
+    merge: at the quintic n = 2, chart d^2 hands mono_mul no empty operand."""
+    merges = []  # (a empty, b empty) per mono_mul call from extend_derivation
+    merge = algebra.mono_mul
+
+    def counted(a, b):
+        if sys._getframe(1).f_code is algebra.extend_derivation.__code__:
+            merges.append((not a, not b))
+        return merge(a, b)
+
+    monkeypatch.setattr(algebra, "mono_mul", counted)
+    rep = check_chart_d_squared(matricize(presentations["fermat"], 2))
+    assert rep.ok
+    assert merges and not any(a or b for a, b in merges)
 
 
 def test_word_matrix_multiplicative(charts):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquot import cli
+from dgquot import GenSym, cli
 from dgquot.serialize import TASKS, Report, load_manifest, write_canonical
 from tests.test_cli import MANIFESTS, _corrupted_pipeline, canonical
 
@@ -65,6 +65,55 @@ def test_writer_rejects_what_is_not_json(bad):
     # nested, it still raises rather than writing different bytes
     with pytest.raises((TypeError, ValueError)):
         write_canonical({"x": [1, bad]}, [].append)
+
+
+def test_leaf_lists_match_json_dumps_in_one_write():
+    leaves = [["w", 5], ["x", 1, "y", -(2**70), 2**64 + 1], ["\u00e9\x00\"", 0], ("t", 2**64)]
+    for leaf in leaves:
+        out = []
+        write_canonical(leaf, out.append)
+        assert out == [canonical(leaf)[:-1], "\n"]
+    # bools, floats, None, empty lists and nesting take the token path
+    for obj in (
+        [True, 1],
+        [1, False],
+        [0, None],
+        [1.5, 2],
+        [[], 1],
+        [1, []],
+        [[1, "a"], [], ["b", [2, [3]]]],
+        {"c": "1", "m": [["w", 5], ["x", 1]], "e": []},
+    ):
+        assert written(obj) == canonical(obj)
+
+
+X = GenSym("x", 0, "variable")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        X,
+        [X],
+        ["x", 1, GenSym("d(x)", 0, "variable", dform=True)],
+        {"a": GenSym("u", -1, "commutator")},
+        {X: 1},
+        {"a": 1, GenSym("a", 0, "variable"): 2},
+    ],
+    ids=["value", "leaf-list", "late-in-leaf-list", "dict-value", "key", "key-among-str"],
+)
+def test_writer_rejects_a_generator_as_a_string(bad):
+    # a GenSym is a str whose raw value is an internal order key, not text
+    with pytest.raises(TypeError):
+        write_canonical(bad, [].append)
+
+
+def test_a_generator_value_or_key_writes_nothing():
+    for bad in (X, {X: 1}, {"a": 1, GenSym("a", 0, "variable"): 2}):
+        out = []
+        with pytest.raises(TypeError):
+            write_canonical(bad, out.append)
+        assert out == []
 
 
 def test_every_report_shape_matches_json_dumps():
