@@ -4,9 +4,11 @@ Coefficients are exact rationals: an int when the value is an integer, else
 a fractions.Fraction.  _coeff is the package's one scalar rule, for these
 coefficients and for the entries of linalg's matrices alike.  Constructors
 canonicalize through it and int arithmetic stays int, so the all-integer
-charts and points never touch Fraction; an integral Fraction result may
-stay one, equal and hash-equal to the int.
-Nothing here divides, so no float reaches a coefficient.  Generators carry
+charts and points never touch Fraction.  Derivation results and divide
+follow the rule too; an integral Fraction result of +, * or scale may stay
+one, equal and hash-equal to the int.
+The one division, divide, is an exact Fraction quotient, so no float
+reaches a coefficient.  Generators carry
 an internal degree <= 0 and a Koszul parity; odd generators anticommute and
 square to zero.  A generator (GenSym) is a str whose value packs its
 canonical order key, chr(-degree) + chr(dform) + kind + NUL + name, so the
@@ -28,12 +30,16 @@ images by the graded Leibniz rule (extend_derivation).  Each image term is
 spliced into the input key in place: a word splice on the free layer, and
 monomial merges left * image * right, with their Koszul signs, on the
 graded layer, where an empty operand takes no merge.  No intermediate
-polynomial is built per term.
+polynomial is built per term.  The loops run fraction-free: on D*e, where D
+is the lcm of the denominators of e's coefficients, so with integer images
+every product and sum is an int, and each result coefficient is divided by
+D once at the end (Bareiss's integer-preserving idea, as in linalg).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import StructureError
@@ -187,7 +193,8 @@ def _coeff(c: ScalarLike) -> Scalar:
     """c as stored: an integral value as an int, any other as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -304,6 +311,11 @@ class _TermMap:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def divide(self, d: int):
+        """self / d for a positive int d, one exact quotient per coefficient:
+        an int wherever it is integral, else a Fraction."""
+        return type(self)({k: _coeff(Fraction(c, d)) for k, c in self.terms.items()}, _raw=True)
 
     def scale(self, c: ScalarLike):
         c = _coeff(c)
@@ -532,6 +544,15 @@ def _no_image(g: GenSym) -> StructureError:
     return StructureError(f"no derivation image for generator {g.name!r}")
 
 
+def _cleared(terms: dict):
+    """(D, D * terms) with D the lcm of the coefficients' denominators, so
+    every coefficient of D * terms is an int; (1, terms) when all are ints."""
+    if Fraction not in map(type, terms.values()):
+        return 1, terms
+    d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    return d, {k: c * d if type(c) is int else c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+
 def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     """Extend generator images to the unique graded Leibniz derivation.
 
@@ -541,11 +562,18 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     graded layer the image of each generator of e is checked once against
     e's generator table, so an image generator that shares a name with a
     different generator of e raises StructureError.
+
+    The loops run on D*e with integer coefficients, D the lcm of the
+    denominators of e's coefficients, so integer images keep every product
+    and sum an int.  The result is divided by D once at the end, and holds
+    an int wherever a coefficient is integral, also when an image holds a
+    Fraction.
     """
     odd = degree_shift % 2
     if isinstance(e, NCPoly):
+        den, terms = _cleared(e.terms)
         acc: dict = {}
-        for w, c in e.terms.items():
+        for w, c in terms.items():
             par = 0
             for l, g in enumerate(w):
                 try:
@@ -563,12 +591,13 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                         else:
                             del acc[key]
                 par = (par + g.parity) % 2
-        return NCPoly(acc, _raw=True)
+        out = NCPoly(acc, _raw=True)
 
-    if isinstance(e, GradedPoly):
+    elif isinstance(e, GradedPoly):
+        den, terms = _cleared(e.terms)
         acc = {}
         checked = set()
-        for m, c in e.terms.items():
+        for m, c in terms.items():
             par = 0
             for l, (g, ex) in enumerate(m):
                 try:
@@ -597,7 +626,10 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                         else:
                             del acc[key]
                 par = (par + g.parity * ex) % 2
-        return GradedPoly(acc, _raw=True)
+        out = GradedPoly(acc, _raw=True)
 
-    raise StructureError(f"cannot extend a derivation over {type(e).__name__}")
-
+    else:
+        raise StructureError(f"cannot extend a derivation over {type(e).__name__}")
+    # with D = 1 a Fraction in the result came from an image; divide(1)
+    # makes it an int where it is integral
+    return out.divide(den) if den > 1 or Fraction in map(type, acc.values()) else out

@@ -9,7 +9,10 @@ potential Phi, in the coordinates x, their de Rham symbols d(x) and the
 commutator generators a[p,q], to its n x n image, and phi is the sum of
 the diagonal.  omega0 = d_dR(phi) is the candidate (-1)-shifted 2-form, and
 the closure, pairing and invariance probes below are exact symbolic
-computations.
+computations.  Phi's coefficients are thirds; the image is taken of the
+integer potential 3*Phi and the trace divided by 3 once, and the
+derivations clear phi's and omega's thirds the same way, so every product
+on the way runs on ints.
 
 The internal-differential images are a memo built on demand: the image of
 g (its chart differential, itself built block by block) or of d(g) (that
@@ -30,7 +33,6 @@ degree -1), d(x) is the one odd factor before d(u), so iota(d(u)) = 1 gives
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg
@@ -131,8 +133,9 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     -a[p,q].  Its image sends x and a[p,q] to their chart blocks and d(x) to
     the de Rham symbols of x's block.
     In a one-parity Koszul convention the naive antisymmetrized product
-    transcription is not d-closed for n >= 2, so the coefficients below
-    are the cyclically symmetric solution of the defining constraints:
+    transcription is not d-closed for n >= 2, so the coefficients below,
+    those of 3*Phi, are the cyclically symmetric solution of the defining
+    constraints:
     d(d_dR phi) = 0 for n in {1,2,3}, vanishing Lie derivative along
     infinitesimal conjugation, and the rank-1 coordinate pairing values
     at rank-one points.  The test suite re-verifies each property.
@@ -151,12 +154,14 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
         U, V = A(i, j), A(0, k)
         potential += X[0] * dX[k] * U + X[k] * dX[0] * U - 2 * X[0] * U * dX[k]
         potential += X[j] * dX[i] * V - X[i] * dX[j] * V
-    potential = potential * Fraction(1, 3)  # the package's only non-integer coefficient
+    # potential is 3*Phi, with integer coefficients, so its image and trace
+    # run on ints; Phi's 1/3, the package's only non-integer coefficient,
+    # is applied once, to the traced sum
     grids = dict(chart.blocks)
     for g, d in zip(pres.variables, dvar):
         grids[d.name] = [[dr.delta[h] for h in row] for row in chart.blocks[g.name]]
     image = matrix_image(grids, chart.n, potential)
-    return poly_sum(image[mu][mu] for mu in range(chart.n))
+    return poly_sum(image[mu][mu] for mu in range(chart.n)).divide(3)
 
 
 def omega0(dr: DeRhamAlgebra, phi: Optional[GradedPoly] = None) -> GradedPoly:

@@ -220,6 +220,17 @@ class Report:
         return buf.getvalue()
 
 
+class _Layouts(dict):
+    """depth -> ("[", "{", ",", "]", "}") with the layout of that nesting
+    depth, built by the first miss on `[]`."""
+
+    def __missing__(self, depth):
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        layout = self[depth] = ("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}")
+        return layout
+
+
 def write_canonical(obj, write: Callable[[str], object]) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` through `write`.
 
@@ -233,14 +244,7 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
     values are one `write` per token.  The strings that open, separate and
     close a container are built once per nesting level and shared.
     """
-    levels = []  # levels[d]: ("[", "{", ",", "]", "}") with the layout of depth d
-
-    def level(depth):
-        while len(levels) <= depth:
-            inner = "\n" + "  " * (len(levels) + 1)
-            outer = "\n" + "  " * len(levels)
-            levels.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
-        return levels[depth]
+    levels = _Layouts()
 
     def value(o, depth):
         if type(o) is str:
@@ -249,7 +253,7 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
             if not o:
                 write("[]")
                 return
-            open_, _, sep, close, _ = level(depth)
+            open_, _, sep, close, _ = levels[depth]
             texts = []  # the items' JSON while every item is exactly a str or an int
             for item in o:
                 t = type(item)
@@ -276,7 +280,7 @@ def write_canonical(obj, write: Callable[[str], object]) -> None:
             for k in keys:
                 if type(k) is not str:
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
-            _, lead, sep, _, close = level(depth)
+            _, lead, sep, _, close = levels[depth]
             for k in keys:
                 write(lead + encode_basestring_ascii(k) + ": ")
                 value(o[k], depth + 1)

@@ -244,6 +244,81 @@ def test_derivation_matches_three_temporaries_route():
     assert nonzero > 400
 
 
+def leibniz_reference(images, e, degree_shift):
+    """The Leibniz rule term by term, with no clearing of denominators: each
+    term and position of e adds +-c * left * image * right, as products of
+    polynomials with the coefficients as they are.  The sum is rebuilt
+    through the canonical constructor, so its scalars follow _coeff."""
+    odd = degree_shift % 2
+    out = type(e).zero()
+    if isinstance(e, NCPoly):
+        for w, c in e.terms.items():
+            par = 0
+            for l, g in enumerate(w):
+                sign = -c if (odd and par) else c
+                out = out + NCPoly.word(w[:l], sign) * images[g] * NCPoly.word(w[l + 1 :])
+                par = (par + g.parity) % 2
+    else:
+        out = derivation_reference(images, e, degree_shift)
+    return type(out)(out.terms)
+
+
+def test_cleared_derivation_matches_leibniz_reference():
+    """extend_derivation clears e's denominators, runs on ints and divides
+    once; the terms, printing and scalar types equal the reference's."""
+    rng = random.Random(16)
+
+    def coeff(fractional):
+        # mixed denominators 3, 4 and 6, with ints among them
+        den = rng.choice((1, 3, 4, 6)) if fractional else 1
+        return Fraction(rng.randint(-6, 6), den)
+
+    def graded(fractional, max_terms=4):
+        terms = {}
+        for _ in range(rng.randint(0, max_terms)):
+            pairs = [(rng.choice(GENS), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+            terms[tuple(pairs)] = coeff(fractional)
+        return GradedPoly(terms)
+
+    def free(fractional, max_terms=4):
+        terms = {}
+        for _ in range(rng.randint(0, max_terms)):
+            terms[tuple(rng.choice(GENS) for _ in range(rng.randint(0, 3)))] = coeff(fractional)
+        return NCPoly(terms)
+
+    def same(got, want):
+        assert got.terms == want.terms and str(got) == str(want)
+        assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+    seen = {"zero operand": 0, "fraction images": 0, "integral result": 0}
+    for make in (graded, free):
+        for _ in range(150):
+            fractional_images = rng.random() < 0.4
+            images = {g: make(fractional_images, 3) for g in GENS}
+            e = make(True)
+            for shift in (0, 1):
+                got = extend_derivation(images, e, shift)
+                same(got, leibniz_reference(images, e, shift))
+                seen["zero operand"] += e.is_zero()
+                seen["fraction images"] += any(type(c) is Fraction for p in images.values() for c in p.terms.values())
+                seen["integral result"] += bool(got) and all(type(c) is int for c in got.terms.values())
+    assert min(seen.values()) > 10, seen
+
+    # thirds and quarters that cancel to an int, and a third that does not
+    x3 = GradedPoly.monomial([(X, 3)], Fraction(1, 3))
+    for images in ({X: GradedPoly.const(1)}, {X: P(Y).scale(Fraction(2, 3))}):
+        got = extend_derivation(images, x3, 1)
+        same(got, leibniz_reference(images, x3, 1))
+    assert extend_derivation({X: P(Y).scale(Fraction(4, 3))}, x3.scale(Fraction(3, 4)), 1).terms == {
+        make_monomial([(X, 2), (Y, 1)]): 1
+    }
+    xxx = NCPoly.word([X, X, X], Fraction(1, 3))
+    got = extend_derivation({X: NCPoly.const(1)}, xxx, 1)
+    assert got.terms == {(X, X): 1} and type(got.terms[(X, X)]) is int
+    assert extend_derivation({X: NCPoly.const(1)}, NCPoly.zero(), 0).is_zero()
+
+
 def test_derivation_rejects_mixed_generator_tables():
     fake = GenSym("x", -2, "correction")
     images = {X: GradedPoly.zero(), U: P(fake)}

@@ -156,6 +156,38 @@ def test_phi_and_omega_keep_exact_thirds(fermat_dr1, fermat_dr2):
         assert rep.dint_residual.is_zero() and rep.ddr_residual.is_zero()
 
 
+def test_phi_omega_and_derivations_hold_no_integral_fraction(fermat_dr1, fermat_dr2):
+    # one scalar rule: an int wherever a coefficient is integral
+    for dr in (fermat_dr1, fermat_dr2):
+        phi = build_phi(dr)
+        om = omega0(dr, phi)
+        u = next(g for g in dr.chart.generators_of_degree(-1) if dr.chart.diff[g])
+        mixed = dr.dint(phi * GradedPoly.gen(u))  # -phi d_int(u): thirds times ints
+        assert mixed and dr.ddr(mixed)
+        for p in (phi, om, mixed, dr.ddr(mixed)):
+            for c in p.terms.values():
+                assert type(c) is int or (type(c) is F and c.denominator != 1), (p, c)
+
+
+def test_closure_runs_on_ints(fermat_dr2, monkeypatch):
+    """d_int and d_dR of omega clear its thirds and divide once, so closure
+    makes no Fraction product or sum per term of the derivation loops."""
+    dr = fermat_dr2
+    om = omega0(dr)
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        op = getattr(F, name)
+
+        def counted(a, b, op=op):
+            calls.append(None)
+            return op(a, b)
+
+        monkeypatch.setattr(F, name, counted)
+    assert close_check(dr, om).ok
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(om.terms), len(calls)
+
+
 def test_phi_requires_fermat_signature(presentations):
     dr = DeRhamAlgebra(matricize(presentations["k[x,y,z]"], 1))
     with pytest.raises(StructureError):
