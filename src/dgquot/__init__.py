@@ -58,7 +58,6 @@ from .tangent import (
     CohomologyReport,
     TangentComplex,
     chart_cohomology,
-    cohomology_dims,
     koszul_ext_oracle,
     quot_tangent_check,
     tangent_complex_at,
@@ -89,7 +88,6 @@ __all__ = [
     "check_chart_d_squared",
     "check_d_squared",
     "close_check",
-    "cohomology_dims",
     "commutator_lift",
     "diag_point",
     "extend_derivation",

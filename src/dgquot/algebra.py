@@ -44,11 +44,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import StructureError
 
-Scalar = Union[int, Fraction]  # as stored: int when integral, else Fraction
-ScalarLike = Union[int, Fraction]  # as accepted; _coeff makes it a Scalar
-
-_ZERO = 0
-_ONE = 1
+Scalar = Union[int, Fraction]  # _coeff stores an integral value as an int
 
 
 class GenSym(str):
@@ -189,7 +185,7 @@ def mono_print_key(m: Monomial):
     return (-mono_grade(m), tuple((g, -e) for g, e in m))
 
 
-def _coeff(c: ScalarLike) -> Scalar:
+def _coeff(c: Scalar) -> Scalar:
     """c as stored: an integral value as an int, any other as a Fraction."""
     if type(c) is int:
         return c
@@ -234,7 +230,7 @@ class _TermMap:
             k = self._canon(k)
             if k is None:
                 continue
-            s = acc.get(k, _ZERO) + c
+            s = acc.get(k, 0) + c
             if s:
                 acc[k] = s
             else:
@@ -247,7 +243,7 @@ class _TermMap:
         return cls({}, _raw=True)
 
     @classmethod
-    def const(cls, c: ScalarLike):
+    def const(cls, c: Scalar):
         c = _coeff(c)
         return cls({(): c} if c else {}, _raw=True)
 
@@ -279,7 +275,7 @@ class _TermMap:
     def constant(self) -> Scalar:
         """The value of a constant polynomial."""
         if not self.terms:
-            return _ZERO
+            return 0
         if set(self.terms) != {()}:
             raise StructureError("polynomial is not constant")
         return self.terms[()]
@@ -291,7 +287,7 @@ class _TermMap:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            s = acc.get(k, _ZERO) + c
+            s = acc.get(k, 0) + c
             if s:
                 acc[k] = s
             else:
@@ -317,7 +313,7 @@ class _TermMap:
         an int wherever it is integral, else a Fraction."""
         return type(self)({k: _coeff(Fraction(c, d)) for k, c in self.terms.items()}, _raw=True)
 
-    def scale(self, c: ScalarLike):
+    def scale(self, c: Scalar):
         c = _coeff(c)
         if not c:
             return self.zero()
@@ -367,10 +363,10 @@ class GradedPoly(_TermMap):
     # -- constructors ------------------------------------------------------
     @staticmethod
     def gen(g: GenSym) -> "GradedPoly":
-        return GradedPoly({((g, 1),): _ONE}, _raw=True)
+        return GradedPoly({((g, 1),): 1}, _raw=True)
 
     @staticmethod
-    def monomial(pairs: Iterable[tuple], c: ScalarLike = 1) -> "GradedPoly":
+    def monomial(pairs: Iterable[tuple], c: Scalar = 1) -> "GradedPoly":
         c = _coeff(c)
         m = make_monomial(pairs)
         if m is None or not c:
@@ -419,7 +415,7 @@ class GradedPoly(_TermMap):
                 if not sign:
                     continue
                 c = c1 * c2 if sign > 0 else -c1 * c2
-                s = acc.get(m, _ZERO) + c
+                s = acc.get(m, 0) + c
                 if s:
                     acc[m] = s
                 else:
@@ -459,7 +455,7 @@ class GradedPoly(_TermMap):
             if not val:
                 continue
             key = tuple(rest)
-            s = acc.get(key, _ZERO) + val
+            s = acc.get(key, 0) + val
             if s:
                 acc[key] = s
             else:
@@ -484,10 +480,10 @@ class NCPoly(_TermMap):
 
     @staticmethod
     def gen(g: GenSym) -> "NCPoly":
-        return NCPoly({(g,): _ONE}, _raw=True)
+        return NCPoly({(g,): 1}, _raw=True)
 
     @staticmethod
-    def word(letters: Sequence[GenSym], c: ScalarLike = 1) -> "NCPoly":
+    def word(letters: Sequence[GenSym], c: Scalar = 1) -> "NCPoly":
         c = _coeff(c)
         if not c:
             return NCPoly.zero()
@@ -508,7 +504,7 @@ class NCPoly(_TermMap):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = acc.get(w, _ZERO) + c1 * c2
+                s = acc.get(w, 0) + c1 * c2
                 if s:
                     acc[w] = s
                 else:
@@ -532,7 +528,7 @@ def poly_sum(polys: Iterable) -> GradedPoly:
     acc: dict = {}
     for p in polys:
         for m, c in p.terms.items():
-            s = acc.get(m, _ZERO) + c
+            s = acc.get(m, 0) + c
             if s:
                 acc[m] = s
             else:
@@ -585,7 +581,7 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     left, right = w[:l], w[l + 1 :]
                     for w2, c2 in img.terms.items():
                         key = left + w2 + right
-                        s = acc.get(key, _ZERO) + sign * c2
+                        s = acc.get(key, 0) + sign * c2
                         if s:
                             acc[key] = s
                         else:
@@ -620,7 +616,7 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                             s1 *= s2
                         if not s1:
                             continue
-                        s = acc.get(key, _ZERO) + (sign * c2 if s1 > 0 else -sign * c2)
+                        s = acc.get(key, 0) + (sign * c2 if s1 > 0 else -sign * c2)
                         if s:
                             acc[key] = s
                         else:

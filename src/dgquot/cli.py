@@ -2,7 +2,11 @@
 
 Subcommands: resolve, repify, h0, stable, tangent, form-check, pair,
 selfcheck, run.  `run` executes the manifest's task list; each other
-subcommand runs exactly one task.  Exit status 0 iff every task passes.
+subcommand runs exactly one task.  A per-point task (stable, tangent, pair)
+gives one row per manifest point and fails when there are none; in tangent
+and pair a point that is not classical gets a witness row and fails the task.
+Exit status: 0 when every task passes, 1 when a task fails or errors, 2 when
+the arguments or the manifest are unusable (no report is written).
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import GradedPoly
 from .derham import (
@@ -111,64 +115,49 @@ def _task_h0(pipe: _Pipeline) -> dict:
     }
 
 
-def _points_result(rows: list, ok: bool) -> dict:
-    """A per-point task's result; with no points to check it fails, saying so."""
-    if not rows:
-        return {"status": "fail", "points": rows, "error": "no points in manifest"}
-    return {"status": "pass" if ok else "fail", "points": rows}
-
-
-def _task_stable(pipe: _Pipeline) -> dict:
-    chart = pipe.chart()
-    rows = []
-    for k, pt in enumerate(pipe.manifest.points):
-        classical, witness = is_classical_point(pt, chart)
-        rows.append(
-            {
-                "point": k,
-                "classical": classical,
-                "witness": None if witness is None else str(witness),
-                "stable": is_stable(pt),
-            }
-        )
-    return _points_result(rows, True)
-
-
-def _not_classical_row(k: int, exc: NotClassicalError) -> dict:
-    return {"point": k, "classical": False, "witness": str(exc.witness)}
-
-
-def _task_tangent(pipe: _Pipeline) -> dict:
+def _per_point(pipe: _Pipeline, row) -> dict:
+    """A per-point task's result, from `row(chart, pt) -> (fields, passed)`
+    at each manifest point."""
     chart = pipe.chart()
     rows = []
     ok = True
     for k, pt in enumerate(pipe.manifest.points):
         try:
-            quot = quot_tangent_check(chart, pt)
+            fields, passed = row(chart, pt)
         except NotClassicalError as exc:
-            rows.append(_not_classical_row(k, exc))
-            ok = False
-            continue
-        report = quot.cohomology
-        entry = {
-            "point": k,
-            "classical": True,
-            "h0": report.h0,
-            "h1": report.h1,
-            "h2_upper": report.h2_upper,
-            "h2_exact": report.h2_exact,
-            "dims": list(report.dims),
-            "ranks": list(report.ranks),
-        }
-        if quot.has_oracle:
-            entry["oracle"] = list(quot.oracle)
-            entry["oracle_checks"] = quot.checks
-            ok = ok and quot.ok
-        else:
-            entry["oracle"] = None
-            entry["oracle_note"] = quot.note
-        rows.append(entry)
-    return _points_result(rows, ok)
+            fields, passed = {"classical": False, "witness": str(exc.witness)}, False
+        rows.append({"point": k, **fields})
+        ok = ok and passed
+    if not rows:
+        return {"status": "fail", "points": rows, "error": "no points in manifest"}
+    return {"status": "pass" if ok else "fail", "points": rows}
+
+
+def _stable_row(chart, pt):
+    classical, witness = is_classical_point(pt, chart)
+    fields = {
+        "classical": classical,
+        "witness": None if witness is None else str(witness),
+        "stable": is_stable(pt),
+    }
+    return fields, True
+
+
+def _tangent_row(chart, pt):
+    quot = quot_tangent_check(chart, pt)
+    report = quot.cohomology
+    fields = {
+        "classical": True,
+        "h0": report.h0,
+        "h1": report.h1,
+        "h2_upper": report.h2_upper,
+        "h2_exact": report.h2_exact,
+        "dims": list(report.dims),
+        "ranks": list(report.ranks),
+    }
+    if not quot.has_oracle:
+        return {**fields, "oracle": None, "oracle_note": quot.note}, True
+    return {**fields, "oracle": list(quot.oracle), "oracle_checks": quot.checks}, quot.ok
 
 
 def _task_form_check(pipe: _Pipeline) -> dict:
@@ -193,31 +182,22 @@ def _task_form_check(pipe: _Pipeline) -> dict:
 def _task_pair(pipe: _Pipeline) -> dict:
     dr = pipe.derham()
     om = omega0(dr)
-    rows = []
-    ok = True
-    for k, pt in enumerate(pipe.manifest.points):
-        try:
-            rep = pairing_at(dr, om, pt)
-        except NotClassicalError as exc:
-            rows.append(_not_classical_row(k, exc))
-            ok = False
-            continue
+
+    def pair_row(chart, pt):
+        rep = pairing_at(dr, om, pt)
         entries = {}
         for i, rg in enumerate(rep.rows):
             for j, cg in enumerate(rep.cols):
                 if rep.matrix[i][j]:
                     entries[f"({rg.name}, {cg.name})"] = scalar_str(rep.matrix[i][j])
-        rows.append({"point": k, "classical": True, "rank": rep.rank, "entries": entries})
-    return _points_result(rows, ok)
+        return {"classical": True, "rank": rep.rank, "entries": entries}, True
+
+    return _per_point(pipe, pair_row)
 
 
 def _task_selfcheck(pipe: _Pipeline) -> dict:
     checks = {}
-    pres = pipe.presentation
-    checks["free_d_squared"] = check_d_squared(pres).ok
-    ranks = sorted({1, 2, pipe.manifest.n})
-    for n in ranks:
-        checks[f"chart_d_squared_n{n}"] = check_chart_d_squared(pipe.chart(n)).ok
+    checks["free_d_squared"] = check_d_squared(pipe.presentation).ok
     # de Rham axioms on seeded random elements of the manifest chart
     dr = pipe.derham()
     rng = random.Random(0)
@@ -233,23 +213,26 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
         if not (dr.dint(dr.ddr(p)) + dr.ddr(dr.dint(p))).is_zero():
             axiom_ok = False
     checks["derham_axioms"] = axiom_ok
-    # the traced 2-form, when the chart is the affine quintic
     try:
         _require_fermat(dr.chart)
         is_fermat = True
     except StructureError:
         is_fermat = False
-    if is_fermat:
-        omegas = {}  # rank -> omega0, built once for closure and invariance
-        for n in ranks:
-            omegas[n] = omega0(pipe.derham(n))
-            checks[f"form_closure_n{n}"] = close_check(pipe.derham(n), omegas[n]).ok
-        inv_ok = True
-        for a in range(2):
-            for b in range(2):
-                xi = [[1 if (i, j) == (a, b) else 0 for j in range(2)] for i in range(2)]
-                inv_ok = inv_ok and invariance_check(pipe.derham(2), omegas[2], xi).ok
-        checks["form_invariance_n2"] = inv_ok
+    for n in sorted({1, 2, pipe.manifest.n}):
+        checks[f"chart_d_squared_n{n}"] = check_chart_d_squared(pipe.chart(n)).ok
+        if not is_fermat:
+            continue
+        # the traced 2-form on the affine quintic, built once per rank
+        drn = pipe.derham(n)
+        om = omega0(drn)
+        checks[f"form_closure_n{n}"] = close_check(drn, om).ok
+        if n == 2:
+            units = (
+                [[1 if (i, j) == (a, b) else 0 for j in range(2)] for i in range(2)]
+                for a in range(2)
+                for b in range(2)
+            )
+            checks["form_invariance_n2"] = all(invariance_check(drn, om, xi).ok for xi in units)
     for k, pt in enumerate(pipe.manifest.points):
         classical, _ = is_classical_point(pt, pipe.chart())
         checks[f"point{k}_classical"] = classical
@@ -260,15 +243,15 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
     return {"status": "pass" if all(checks.values()) else "fail", "checks": checks}
 
 
-_TASK_RUNNERS = {
-    "resolve": _task_resolve,
-    "repify": _task_repify,
-    "h0": _task_h0,
-    "stable": _task_stable,
-    "tangent": _task_tangent,
-    "form-check": _task_form_check,
-    "pair": _task_pair,
-    "selfcheck": _task_selfcheck,
+_TASKS = {  # name -> (runner, subcommand help)
+    "resolve": (_task_resolve, "build the free resolution and check d^2 = 0"),
+    "repify": (_task_repify, "matricize at rank n and check d^2 = 0"),
+    "h0": (_task_h0, "list the classical truncation ideal generators"),
+    "stable": (partial(_per_point, row=_stable_row), "classify manifest points (classical / stable)"),
+    "tangent": (partial(_per_point, row=_tangent_row), "tangent cohomology at manifest points, with oracle"),
+    "form-check": (_task_form_check, "build the traced 2-form and verify closure"),
+    "pair": (_task_pair, "pairing matrix and rank of the 2-form at points"),
+    "selfcheck": (_task_selfcheck, "run the full invariant suite on the built objects"),
 }
 
 
@@ -277,11 +260,10 @@ def run(manifest: Manifest, tasks, command: str = "run") -> Report:
     report = Report(command=command, input_hash=manifest.input_hash())
     for task in tasks:
         try:
-            result = _TASK_RUNNERS[task](pipe)
+            result = _TASKS[task][0](pipe)
         except DgquotError as exc:
             result = {"status": "error", "error": str(exc)}
-        result = {"task": task, **result}
-        report.results.append(result)
+        report.results.append({"task": task, **result})
     return report
 
 
@@ -291,17 +273,8 @@ def main(argv=None) -> int:
         description="Derived charts of Quot schemes of points: build, verify, probe.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("resolve", "build the free resolution and check d^2 = 0"),
-        ("repify", "matricize at rank n and check d^2 = 0"),
-        ("h0", "list the classical truncation ideal generators"),
-        ("stable", "classify manifest points (classical / stable)"),
-        ("tangent", "tangent cohomology at manifest points, with oracle"),
-        ("form-check", "build the traced 2-form and verify closure"),
-        ("pair", "pairing matrix and rank of the 2-form at points"),
-        ("selfcheck", "run the full invariant suite on the built objects"),
-        ("run", "execute the manifest's task list"),
-    ]:
+    commands = {name: help_text for name, (_, help_text) in _TASKS.items()}
+    for name, help_text in {**commands, "run": "execute the manifest's task list"}.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True, help="path to the JSON manifest")
         p.add_argument("--n", type=int, default=None, help="override manifest rank n")
@@ -322,6 +295,8 @@ def main(argv=None) -> int:
             manifest.ordering = [s.strip() for s in args.ordering.split(",")]
             if sorted(manifest.ordering) != sorted(manifest.variables):
                 raise DgquotError("--ordering must be a permutation of the variables")
+        # malformed names or relations are a usage error, not a failed task
+        AlgebraInput.from_strings(manifest.variables, manifest.relations)
         tasks = manifest.tasks if args.command == "run" else [args.command]
         if not tasks:
             raise DgquotError("manifest has no tasks; pass a subcommand instead of 'run'")

@@ -91,7 +91,8 @@ class FreePresentation:
     syzygies: tuple  # one per relation
     corrections: dict  # (j, l) -> GenSym
     diff: dict = field(repr=False)  # GenSym -> NCPoly
-    truncation_degree: int = TRUNCATION_DEGREE
+
+    truncation_degree = TRUNCATION_DEGREE  # unannotated: a class constant, not a field
 
     @property
     def generators(self) -> tuple:

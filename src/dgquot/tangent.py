@@ -100,26 +100,22 @@ def _nonzero_entries(mat) -> list:
     return [(i, k, x) for i, row in enumerate(mat) for k, x in enumerate(row) if x]
 
 
-def cohomology_dims(t: TangentComplex) -> CohomologyReport:
+def chart_cohomology(chart: ChartPresentation, pt: MatrixPoint) -> CohomologyReport:
+    """Cohomology of the tangent complex at a classical point, with h2_exact
+    set from the chart's truncation.  Raises NotClassicalError when the point
+    is not classical."""
+    t = tangent_complex_at(chart, pt)
     if not t.composition_is_zero():
         raise StructureError("linearized differentials do not compose to zero")
     n0, n1, n2 = t.dims
     r0 = linalg.rank(t.d0)
     r1 = linalg.rank(t.d1)
-    h0 = n0 - r0
-    h1 = (n1 - r1) - r0
-    h2 = n2 - r1
-    return CohomologyReport(h0, h1, h2, (n0, n1, n2), (r0, r1), h2_exact=False)
-
-
-def chart_cohomology(chart: ChartPresentation, pt: MatrixPoint) -> CohomologyReport:
-    rep = cohomology_dims(tangent_complex_at(chart, pt))
     pres = chart.source
     m, r = len(pres.source.variables), len(pres.source.relations)
     # for r = 0 the Koszul family, with |S| <= 1 - truncation_degree, is the
     # whole resolution when it has a generator for every variable subset
-    rep.h2_exact = r == 0 and m <= 1 - pres.truncation_degree
-    return rep
+    h2_exact = r == 0 and m <= 1 - pres.truncation_degree
+    return CohomologyReport(n0 - r0, n1 - r1 - r0, n2 - r1, (n0, n1, n2), (r0, r1), h2_exact)
 
 
 def koszul_ext_oracle(m: int, k_points: int):

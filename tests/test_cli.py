@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from dgquot import cli, derham, points, tangent
 from dgquot.cli import main, run
 from dgquot.resolution import DSquaredReport
 from dgquot.serialize import (
+    TASKS,
     chart_presentation_json,
     free_presentation_json,
     load_manifest,
@@ -176,6 +178,12 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
     bad.write_text(json.dumps({"variables": ["x"], "points": [{"matrices": [[1]], "vector": ["1"]}]}))
     assert main(["h0", "--manifest", str(bad)]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    # malformed content is caught before any task runs: no report, exit 2
+    for variables, relations in ((["x", "1y"], []), (["x"], ["x^2 + q"]), (["x"], ["x - x"])):
+        bad.write_text(json.dumps({"variables": variables, "relations": relations, "tasks": ["h0"]}))
+        assert main(["run", "--manifest", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 def test_main_rejects_missing_manifest(tmp_path, capsys):
@@ -311,6 +319,33 @@ def test_point_tasks_name_a_missing_point_list():
     for result in results:
         assert result["status"] == "fail" and result["points"] == []
         assert result["error"] == "no points in manifest"
+
+
+def test_point_tasks_with_a_classical_and_a_non_classical_point():
+    manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
+    tasks = ["stable", "tangent", "pair"]
+    alone = run(manifest, tasks).results
+    manifest.points = [manifest.points[0], parse_point({"matrices": [[["1"]]] * 4, "vector": ["1"]})]
+    mixed = run(manifest, tasks).results
+    witness = "w[1,1]^5 + x[1,1]^5 + y[1,1]^5 + z[1,1]^5 + 1"
+    stable, tangent_result, pair = mixed
+    # the classical point's row is the one it gets on its own
+    for result, single in zip(mixed, alone):
+        assert single["status"] == "pass" and result["points"][0] == single["points"][0]
+    assert stable["status"] == "pass"
+    assert stable["points"][1] == {"point": 1, "classical": False, "witness": witness, "stable": True}
+    assert tangent_result["points"][0]["h2_upper"] == 5 and pair["points"][0]["rank"] == 3
+    for result in (tangent_result, pair):
+        assert result["status"] == "fail"
+        assert result["points"][1] == {"point": 1, "classical": False, "witness": witness}
+
+
+def test_every_manifest_task_has_a_runner_and_a_subcommand(capsys):
+    assert set(cli._TASKS) == set(TASKS)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert sorted(choices.split(",")) == sorted([*TASKS, "run"])
 
 
 def _corrupted_pipeline(manifest_name):

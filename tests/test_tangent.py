@@ -12,7 +12,6 @@ from dgquot import (
     StructureError,
     build_resolution,
     chart_cohomology,
-    cohomology_dims,
     diag_point,
     gl_action,
     is_classical_point,
@@ -62,8 +61,8 @@ def test_origin_affine3(charts):
     pt = MatrixPoint(([[0]], [[0]], [[0]]), (F(1),))
     t = tangent_complex_at(chart, pt)
     assert t.dims == (4, 3, 1)
-    rep = cohomology_dims(t)
-    assert rep.as_tuple() == (4, 3, 1)
+    rep = chart_cohomology(chart, pt)
+    assert rep.as_tuple() == (4, 3, 1) and rep.h2_exact
 
 
 def test_affine_line(charts):
