@@ -33,7 +33,8 @@ graded layer, where an empty operand takes no merge.  No intermediate
 polynomial is built per term.  The loops run fraction-free: on D*e, where D
 is the lcm of the denominators of e's coefficients, so with integer images
 every product and sum is an int, and each result coefficient is divided by
-D once at the end (Bareiss's integer-preserving idea, as in linalg).
+D once at the end (as linalg clears each row to integers before it
+eliminates).
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
-"""Exact rational dense linear algebra: small matrices over the rationals.
+"""Exact rational linear algebra: small matrices over the rationals.
 
 Matrices are tuples of tuples of scalars under the package's one scalar
 rule, `algebra._coeff`: an int when the value is integral, else a Fraction.
 The constructors and the kernel's one quotient canonicalize through it, and
 int arithmetic stays int, so products and ranks of integer matrices never
-touch Fraction.  There is one elimination routine, `_echelon`: it clears
-each row's denominators and runs fraction-free (Bareiss) elimination over
-the integers.  `rank`
-counts its pivots, `nullspace` back-substitutes over its integer rows, and
+touch Fraction.  Matrices are dense; elimination is sparse.  There is one
+elimination routine, `_echelon`: it turns each row into a {column: int}
+dict cleared of denominators, pivots on the shortest row that reaches each
+column, and changes only the rows with a nonzero in the pivot column, each
+divided by its content, so entries stay within the Hadamard bound.  `rank`
+counts its pivots, `nullspace` back-substitutes over its sparse rows, and
 `inverse` reads A^-1 off the kernel of [A | -I].  There are no tolerance
 parameters anywhere.
 """
@@ -112,51 +114,71 @@ def _clear_row(row) -> list:
 
 
 def _echelon(a) -> tuple:
-    """Integer row echelon form of a rational matrix, by Bareiss elimination.
+    """Integer row echelon form of a rational matrix, on sparse rows.
 
-    Each row is first cleared to coprime integers.  Returns the nonzero
-    echelon rows (integer lists) and their pivot columns; row i is zero
-    left of pivots[i], and every row below it is zero in that column.
+    Each row becomes a {column: int} dict of its nonzero entries, cleared to
+    coprime integers.  Columns are taken left to right.  The rows that reach
+    column c are those whose leading column is c, and the shortest of them
+    is the pivot row (a Markowitz row count), with entry p at c.  Every
+    other row r reaching c, with entry f at c, becomes p*r - f*prow (p and f
+    first divided by their gcd) and is then divided by its content.  Rows
+    that are zero at c do not change.
+
+    Returns the pivot rows (primitive dicts) and their pivot columns: row i
+    is zero left of pivots[i], and so is every later row.  The pivot columns
+    are the greedy column basis whichever row is chosen.  A reduced row is
+    zero at the pivot columns before it and lies in the span of its own
+    input row and theirs, so it is the primitive part of a row of minors of
+    the cleared matrix (Cramer's rule): its entries stay within the Hadamard
+    bound, as with Bareiss elimination.
     """
-    rows = [_clear_row(row) for row in a]
-    rows = [r for r in rows if any(r)]
-    pivots: list = []
-    ncols = len(rows[0]) if rows else 0
-    prev = 1
-    col = 0
-    while len(pivots) < len(rows) and col < ncols:
-        rk = len(pivots)
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
+    reach = [[] for _ in range(len(a[0]) if a else 0)]  # rows by leading column
+    for row in a:
+        nonzero = {j: x for j, x in enumerate(row) if x}
+        if nonzero:
+            reach[min(nonzero)].append(dict(zip(nonzero, _clear_row(nonzero.values()))))
+    rows, pivots = [], []
+    for col, waiting in enumerate(reach):
+        if not waiting:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
+        prow = min(waiting, key=len)
         p = prow[col]
-        for i in range(rk + 1, len(rows)):
-            ri = rows[i]
-            f = ri[col]
-            for j in range(col, ncols):
-                q, r = divmod(p * ri[j] - f * prow[j], prev)
-                assert not r, "Bareiss division must be exact"
-                ri[j] = q
-        prev = p
+        sign = 1 if p > 0 else -1
+        for r in waiting:
+            if r is prow:
+                continue
+            g = sign * gcd(p, r[col])  # rp > 0, and rp = 1 when p divides f
+            rp, f = p // g, r[col] // g
+            # r is in no other list, so with rp = 1 it is updated in place
+            acc = {j: rp * x for j, x in r.items()} if rp != 1 else r
+            for j, x in prow.items():
+                y = acc.get(j, 0) - f * x
+                if y:
+                    acc[j] = y
+                else:
+                    del acc[j]
+            if acc:
+                g = gcd(*acc.values())
+                if g > 1:
+                    acc = {j: x // g for j, x in acc.items()}
+                reach[min(acc)].append(acc)
+        rows.append(prow)
         pivots.append(col)
-        col += 1
-    return rows[: len(pivots)], pivots
+    return rows, pivots
 
 
 def _kernel(rows, pivots, ncols: int) -> list:
-    """Right-kernel basis of echelon rows: one vector per non-pivot column
-    j, with 1 at j and 0 at the other non-pivot columns."""
+    """Right-kernel basis of sparse echelon rows: one vector per non-pivot
+    column j, with 1 at j and 0 at the other non-pivot columns, found by
+    back-substitution from the last pivot row up."""
     basis = []
     for j in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[j] = 1
+        vec = {j: 1}
         for row, p in zip(reversed(rows), reversed(pivots)):
-            s = sum(row[k] * vec[k] for k in range(p + 1, ncols) if vec[k])
-            vec[p] = _coeff(Fraction(-s, row[p]))
-        basis.append(tuple(vec))
+            s = sum(x * vec[k] for k, x in row.items() if k in vec)
+            if s:
+                vec[p] = _coeff(Fraction(-s, row[p]))
+        basis.append(tuple(vec.get(k, 0) for k in range(ncols)))
     return basis
 
 

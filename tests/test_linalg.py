@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -17,7 +18,7 @@ def test_rank_basic():
 
 def _ref_rref(a) -> list:
     """Reference: Fraction Gauss-Jordan reduced row echelon form, nonzero
-    rows only, independent of the Bareiss route in `linalg`."""
+    rows only, independent of the sparse route in `linalg`."""
     rows = [[F(x) for x in row] for row in a if any(row)]
     if not rows:
         return []
@@ -148,6 +149,127 @@ def test_elimination_matches_reference_loops():
         seen["invertible"] += 1
         assert linalg.inverse(a) == expected
     assert min(seen.values()) >= 10, seen
+
+
+def _ref_cleared(a) -> list:
+    """Each row of a rational matrix scaled to coprime integers."""
+    out = []
+    for row in a:
+        row = [F(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints) or 1
+        out.append([v // g for v in ints])
+    return out
+
+
+def _ref_bareiss_echelon(a) -> tuple:
+    """Reference: dense fraction-free (Bareiss) elimination on the cleared
+    nonzero rows, rewriting every entry of every row below the pivot at
+    every step.  Returns the echelon rows and their pivot columns."""
+    rows = [r for r in _ref_cleared(a) if any(r)]
+    pivots: list = []
+    ncols = len(rows[0]) if rows else 0
+    prev = 1
+    col = 0
+    while len(pivots) < len(rows) and col < ncols:
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        prow = rows[rk]
+        p = prow[col]
+        for i in range(rk + 1, len(rows)):
+            ri = rows[i]
+            f = ri[col]
+            for j in range(col, ncols):
+                q, r = divmod(p * ri[j] - f * prow[j], prev)
+                assert not r, "Bareiss division must be exact"
+                ri[j] = q
+        prev = p
+        pivots.append(col)
+        col += 1
+    return rows[: len(pivots)], pivots
+
+
+def _sparse_tangent_like(rng, k):
+    """A seeded sparse matrix shaped like a linearized differential: up to
+    80x80 and 1-10% nonzero.  Entries are small ints (k % 4 == 0),
+    small-denominator rationals (1), near 10^6 (2) or near 10^12 with small
+    denominators (3).  On k % 5 == 0 the matrix is square, at most 40x40,
+    with a permuted nonzero diagonal, so that most are invertible.  Except
+    on k % 10 == 0, some rows and columns are zeroed and some rows are
+    rational multiples of others; on k % 10 == 5 at least one row is."""
+    nrows = rng.randint(1, 40 if k % 5 == 0 else 80)
+    ncols = nrows if k % 5 == 0 else rng.randint(1, 80)
+    density = rng.uniform(0.01, 0.10)
+
+    def entry():
+        sign = rng.choice((-1, 1))
+        kind = k % 4
+        if kind == 0:
+            return sign * rng.randint(1, 3)
+        if kind == 1:
+            return F(sign * rng.randint(1, 5), rng.randint(1, 6))
+        if kind == 2:
+            return sign * rng.randint(10**6 - 50, 10**6 + 50)
+        return F(sign * rng.randint(10**12 - 50, 10**12 + 50), rng.randint(1, 7))
+
+    mat = [[entry() if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    if k % 5 == 0:
+        for i, j in enumerate(rng.sample(range(ncols), ncols)):
+            mat[i][j] = entry()
+    if k % 10 != 0:
+        for _ in range(rng.randint(k % 10 == 5, 3)):
+            mat[rng.randrange(nrows)] = [0] * ncols
+        for _ in range(rng.randint(0, 3)):
+            j = rng.randrange(ncols)
+            for row in mat:
+                row[j] = 0
+        for _ in range(rng.randint(0, 3) if nrows > 1 else 0):
+            i, j = rng.sample(range(nrows), 2)
+            c = F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            mat[i] = [c * x for x in mat[j]]
+    return linalg.as_matrix(mat)
+
+
+def test_sparse_elimination_matches_dense_bareiss():
+    rng = random.Random(18)
+    seen = {"rect": 0, "zero_row": 0, "zero_col": 0, "multiple_row": 0, "singular": 0, "invertible": 0}
+    for k in range(30):
+        a = _sparse_tangent_like(rng, k)
+        nrows, ncols = linalg.mat_shape(a)
+        rows, pivots = linalg._echelon(a)
+        ref_rows, ref_pivots = _ref_bareiss_echelon(a)
+        assert pivots == ref_pivots and linalg.rank(a) == len(ref_rows), k
+        # echelon, primitive, and each row i within the Hadamard bound of
+        # its (i + 1)-minors: the product of the i + 1 largest squared row
+        # norms of the cleared matrix
+        norms = sorted((sum(x * x for x in r) for r in _ref_cleared(a)), reverse=True)
+        for i, (row, col) in enumerate(zip(rows, pivots)):
+            assert min(row) == col and all(row.values()), k
+            assert gcd(*row.values()) == 1, k
+            assert max(x * x for x in row.values()) <= prod(norms[: i + 1]), k
+        kernel = linalg.nullspace(a)
+        assert kernel == _ref_nullspace(a), k
+        seen["rect"] += nrows != ncols
+        seen["zero_row"] += any(not any(row) for row in a)
+        seen["zero_col"] += any(not any(col) for col in zip(*a))
+        cleared = {tuple(r) for r in _ref_cleared(a) if any(r)}
+        seen["multiple_row"] += len(cleared) < sum(1 for r in a if any(r))
+        if nrows == ncols:
+            try:
+                expected = _ref_inverse(a)
+            except SingularMatrixError:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrixError):
+                    linalg.inverse(a)
+                continue
+            seen["invertible"] += 1
+            assert linalg.inverse(a) == expected, k
+    assert min(seen.values()) >= 3, seen
 
 
 def test_inverse():

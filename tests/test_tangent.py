@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -172,6 +172,23 @@ def test_quintic_tangent_at_rank_four(fermat_presentation, corpus):
     rep = chart_cohomology(matricize(fermat_presentation, 4), pt)
     assert (rep.h0, rep.h1) == (28, 12)
     assert rep.ranks == (40, 60)
+
+
+def quintic_off_axis_point(src, n):
+    """The last n of the 16 quintic points with coordinates in {-1, 0, 1},
+    in itertools.product order, conjugated by I + N, N the upper shift."""
+    tuples = [p for p in product((-1, 0, 1), repeat=4) if sum(c**5 for c in p) == -1]
+    shear = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    return gl_action(shear, diag_point(tuples[-n:], src.relations, src.var_gens))
+
+
+@pytest.mark.parametrize("n, ranks", [(5, (65, 95)), (6, (96, 138)), (8, (176, 248))])
+def test_quintic_tangent_off_axis(fermat_presentation, corpus, n, ranks):
+    # smooth points of a hypersurface in A^4: h0 = n^2 + 3n and h1 = 3n
+    pt = quintic_off_axis_point(corpus["fermat"], n)
+    rep = chart_cohomology(matricize(fermat_presentation, n), pt)
+    assert (rep.h0, rep.h1) == (n * n + 3 * n, 3 * n)
+    assert rep.ranks == ranks
 
 
 @pytest.mark.parametrize("stem", ["affine3", "sphere"])
