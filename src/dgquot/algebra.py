@@ -577,7 +577,7 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     img = images[g]
                 except KeyError:
                     raise _no_image(g) from None
-                if img:
+                if img.terms:
                     sign = -c if (odd and par) else c
                     left, right = w[:l], w[l + 1 :]
                     for w2, c2 in img.terms.items():
@@ -601,7 +601,7 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     img = images[g]
                 except KeyError:
                     raise _no_image(g) from None
-                if img:
+                if img.terms:
                     if g not in checked:
                         e.check_table(img)
                         checked.add(g)

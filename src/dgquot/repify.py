@@ -47,8 +47,13 @@ def matrix_image(grids: dict, n: int, p: NCPoly) -> list:
     out = [[{} for _ in range(n)] for _ in range(n)]
     for word, c in p.terms.items():
         for mu in range(n):
-            paths = {mu: {(): c}}  # end index -> terms of the partial products
-            for g in word:
+            # end index -> terms of the partial products, from the first
+            # letter on, so no merge takes an empty operand
+            if word:
+                paths = {j: {((e, 1),): c} for j, e in enumerate(grids[word[0].name][mu])}
+            else:
+                paths = {mu: {(): c}}
+            for g in word[1:]:
                 grid = grids[g.name]
                 step = {}
                 for i, terms in paths.items():
@@ -56,7 +61,13 @@ def matrix_image(grids: dict, n: int, p: NCPoly) -> list:
                         _add_products(step.setdefault(j, {}), terms, ((e, 1),))
                 paths = step
             for nu, terms in paths.items():
-                _add_products(out[mu][nu], terms, ())
+                acc = out[mu][nu]
+                for m, a in terms.items():
+                    s = acc.get(m, 0) + a
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
     return [[GradedPoly(terms, _raw=True) for terms in row] for row in out]
 
 

@@ -21,7 +21,7 @@ from dgquot import (
 )
 from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
-from dgquot import algebra, linalg
+from dgquot import algebra, linalg, repify
 from tests.test_algebra import tuple_key
 
 
@@ -222,6 +222,24 @@ def test_chart_d_squared_merges_no_empty_operand(presentations, monkeypatch):
     monkeypatch.setattr(algebra, "mono_mul", counted)
     rep = check_chart_d_squared(matricize(presentations["fermat"], 2))
     assert rep.ok
+    assert merges and not any(a or b for a, b in merges)
+
+
+def test_chart_build_merges_no_empty_operand(presentations, monkeypatch):
+    """matrix_image starts each index path at its first letter and adds a
+    finished path's terms without a merge: building the whole quintic n = 2
+    chart hands mono_mul no empty operand."""
+    merges = []  # (a empty, b empty) per mono_mul call from repify
+    merge = repify.mono_mul
+
+    def counted(a, b):
+        merges.append((not a, not b))
+        return merge(a, b)
+
+    monkeypatch.setattr(repify, "mono_mul", counted)
+    chart = matricize(presentations["fermat"], 2)
+    for g in chart.generators:
+        chart.diff[g]
     assert merges and not any(a or b for a, b in merges)
 
 

@@ -1,11 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquot import GenSym, cli
-from dgquot.serialize import TASKS, Report, load_manifest, write_canonical
+from dgquot import GenSym, cli, matricize
+from dgquot.serialize import (
+    TASKS,
+    Report,
+    chart_presentation_json,
+    free_presentation_json,
+    load_manifest,
+    write_canonical,
+)
 from tests.test_cli import MANIFESTS, _corrupted_pipeline, canonical
 
 
@@ -130,3 +138,38 @@ def test_every_report_shape_matches_json_dumps():
     assert statuses == {"pass", "fail", "error"}
     for report in reports:
         assert report.dumps() == canonical(report.to_json())
+
+
+def _terms(tree):
+    return [t for terms in tree["differentials"].values() for t in terms]
+
+
+@pytest.fixture(scope="module")
+def chart_tree(presentations):
+    return chart_presentation_json(matricize(presentations["fermat"], 2))
+
+
+def test_chart_report_shares_one_list_per_generator_exponent_pair(chart_tree):
+    items = [item for t in _terms(chart_tree) for item in t["m"]]
+    assert all(type(item) is list for item in items)
+    assert len({id(item) for item in items}) == len({tuple(item) for item in items})
+
+
+def test_presentation_reports_share_one_string_per_coefficient(presentations, chart_tree):
+    free_tree = free_presentation_json(presentations["fermat"])
+    for tree in (chart_tree, free_tree):
+        coeffs = [t["c"] for t in _terms(tree)]
+        assert len({id(c) for c in coeffs}) == len(set(coeffs)) > 1
+
+
+def test_a_shared_leaf_tree_equals_its_parsed_json(chart_tree):
+    text = canonical(chart_tree)
+    assert json.loads(text) == chart_tree
+    assert written(chart_tree) == text
+
+
+def test_writer_matches_json_dumps_on_shared_leaves():
+    leaf, c = ["x[1,2]", 3], "-5"
+    terms = [{"c": c, "m": [leaf, ["y[1]", 1]]}, {"c": c, "m": [leaf]}, {"c": "1", "m": [leaf, leaf]}]
+    tree = {"differentials": {"a": terms, "b": terms[1:]}}
+    assert written(tree) == canonical(tree)
