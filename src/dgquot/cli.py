@@ -162,8 +162,8 @@ def _tangent_row(chart, pt):
 
 def _task_form_check(pipe: _Pipeline) -> dict:
     dr = pipe.derham()
+    om = omega0(dr)  # builds phi on first use; build_phi then returns it
     phi = build_phi(dr)
-    om = omega0(dr, phi)
     rep = close_check(dr, om)
     result = {
         "status": "pass" if rep.ok else "fail",
@@ -222,7 +222,7 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
         checks[f"chart_d_squared_n{n}"] = check_chart_d_squared(pipe.chart(n)).ok
         if not is_fermat:
             continue
-        # the traced 2-form on the affine quintic, built once per rank
+        # the traced 2-form on the affine quintic, shared with form-check and pair
         drn = pipe.derham(n)
         om = omega0(drn)
         checks[f"form_closure_n{n}"] = close_check(drn, om).ok

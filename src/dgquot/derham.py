@@ -21,6 +21,13 @@ kept.  Closure of the quintic form reads about half of them.  Only a `[]`
 lookup builds an image; `in`, `get`, `len`, iteration and the views see the
 images built so far.  The de Rham images are cheap and built eagerly.
 
+phi and omega0 are built once per DeRhamAlgebra and kept on it, so every
+task that reads the quintic form on one chart (form-check, pair,
+selfcheck) shares one phi and one omega, and both are freed with the
+algebra.  `omega0(dr)` builds phi through `build_phi` on its first call;
+`omega0(dr, phi)` with an explicit phi computes d_dR of that phi and
+leaves the memo alone.
+
 Contraction convention: interior products act as odd left derivations
 (iota(ab) = iota(a) b + (-1)^|a| a iota(b)) that kill plain generators.
 The convention is fixed here once and validated by the Cartan-formula
@@ -60,6 +67,7 @@ class DeRhamAlgebra:
             ddr_images[self.delta[g]] = zero
         self._ddr_images = ddr_images
         self._dint_images = _DintImages(chart.diff, ddr_images, self.delta_base)
+        self._forms = {}  # "phi", "omega": the quintic forms, built once
 
     def ddr(self, e: GradedPoly) -> GradedPoly:
         """De Rham differential: bidegree (0, +1), odd."""
@@ -139,7 +147,11 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     d(d_dR phi) = 0 for n in {1,2,3}, vanishing Lie derivative along
     infinitesimal conjugation, and the rank-1 coordinate pairing values
     at rank-one points.  The test suite re-verifies each property.
+
+    Built once per DeRhamAlgebra: later calls return the same phi.
     """
+    if "phi" in dr._forms:
+        return dr._forms["phi"]
     chart = dr.chart
     _require_fermat(chart)
     pres = chart.source
@@ -161,13 +173,22 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     for g, d in zip(pres.variables, dvar):
         grids[d.name] = [[dr.delta[h] for h in row] for row in chart.blocks[g.name]]
     image = matrix_image(grids, chart.n, potential)
-    return poly_sum(image[mu][mu] for mu in range(chart.n)).divide(3)
+    phi = dr._forms["phi"] = poly_sum(image[mu][mu] for mu in range(chart.n)).divide(3)
+    return phi
 
 
 def omega0(dr: DeRhamAlgebra, phi: Optional[GradedPoly] = None) -> GradedPoly:
-    if phi is None:
-        phi = build_phi(dr)
-    return dr.ddr(phi)
+    """The candidate 2-form d_dR(phi).
+
+    Without phi it is omega of the quintic chart, built on the first call
+    from `build_phi(dr)` and then kept on dr.  An explicit phi bypasses the
+    memo: its d_dR is computed and nothing is stored.
+    """
+    if phi is not None:
+        return dr.ddr(phi)
+    if "omega" not in dr._forms:
+        dr._forms["omega"] = dr.ddr(build_phi(dr))
+    return dr._forms["omega"]
 
 
 @dataclass

@@ -21,11 +21,17 @@ coefficient string once, and every term that holds it shares it; that
 more than halves the report tree's memory.  Report trees are therefore
 read-only: mutating a leaf would change every term that shares it.
 Leaves stay lists, not tuples, so that a tree equals its parsed JSON.
+
+A report's input_hash is the sha256 of the manifest's canonical JSON.  The
+digest comes from the lean built-in ``_sha256`` module, as the stdlib's
+``random`` takes ``_sha512``: ``import hashlib`` loads OpenSSL's libcrypto,
+which added 3.6 MiB of resident memory and its start-up time to every
+process that imports the package, for one checksum per report.  ``hashlib``
+is the fallback where ``_sha256`` is missing; both give the same digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -34,6 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
+
+try:  # hashlib loads OpenSSL; the lean built-in module gives the same digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .algebra import GradedPoly, NCPoly, Scalar, _coeff
 from .errors import StructureError
@@ -177,7 +188,7 @@ class Manifest:
 
     def input_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
 
 def parse_manifest(obj: dict) -> Manifest:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 from dgquot import AlgebraInput, DgquotError, StructureError, build_resolution, matricize
 from dgquot import cli, derham, points, tangent
 from dgquot.cli import main, run
+from dgquot.derham import close_check, pairing_at
+from dgquot.repify import matrix_image
 from dgquot.resolution import DSquaredReport
 from dgquot.serialize import (
     TASKS,
@@ -236,6 +239,25 @@ def test_console_script_entry_point(tmp_path):
     assert rep["results"][0]["points"][0]["stable"] is True
 
 
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha256") is None,
+    reason="no lean built-in sha256 module",
+)
+def test_a_run_loads_no_openssl():
+    code = (
+        "import sys\n"
+        "from dgquot import cli\n"
+        "from dgquot.serialize import load_manifest\n"
+        f"manifest = load_manifest({str(MANIFESTS / 'fermat_n1.json')!r})\n"
+        "report = cli.run(manifest, manifest.tasks)\n"
+        "report.dumps()\n"
+        "print(report.ok, '_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_public_names_resolve():
     import dgquot
 
@@ -250,6 +272,28 @@ def test_selfcheck_task():
     assert checks["free_d_squared"] and checks["derham_axioms"]
     assert checks["form_closure_n1"] and checks["form_closure_n2"]
     assert checks["form_invariance_n2"]
+
+
+def test_form_tasks_build_the_quintic_form_once_per_rank(monkeypatch):
+    """form-check, pair and selfcheck share one phi and one omega per
+    DeRhamAlgebra: matrix_image, which only build_phi calls, runs once at
+    each of the ranks 1 and 2, and pair reads the omega form-check built."""
+    images, closed, paired = [], [], []
+
+    def counted(*args):
+        images.append(args[1])
+        return matrix_image(*args)
+
+    monkeypatch.setattr(derham, "matrix_image", counted)
+    monkeypatch.setattr(cli, "close_check", lambda dr, om: closed.append(om) or close_check(dr, om))
+    monkeypatch.setattr(cli, "pairing_at", lambda dr, om, pt: paired.append(om) or pairing_at(dr, om, pt))
+    manifest = load_manifest(str(MANIFESTS / "fermat_n2.json"))
+    report = run(manifest, ["form-check", "pair", "selfcheck"])
+    assert report.ok
+    assert sorted(images) == [1, 2]
+    # closure runs at n = 2 (form-check), then n = 1 and n = 2 (selfcheck)
+    assert len(closed) == 3 and len(paired) == 1
+    assert paired[0] is closed[0] and closed[2] is closed[0]
 
 
 @pytest.mark.extended

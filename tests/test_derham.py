@@ -203,6 +203,22 @@ def test_phi_requires_fermat_signature(presentations):
             build_phi(dr)
 
 
+def test_phi_and_omega_are_built_once_and_an_explicit_phi_bypasses_them(fermat_presentation):
+    dr = DeRhamAlgebra(matricize(fermat_presentation, 1))
+    om = omega0(dr)
+    phi = build_phi(dr)
+    assert om == dr.ddr(phi)
+    assert omega0(dr) is om and build_phi(dr) is phi
+    # a mutated phi, after the memo is filled: its own d_dR, memo untouched
+    x = dr.chart.blocks["x"][0][0]
+    u = dr.chart.blocks[dr.chart.source.koszul[(0, 1)].name][0][0]
+    mutated = phi + GradedPoly.monomial([(x, 1), (dr.delta[u], 1)], 2)
+    assert omega0(dr, mutated) == dr.ddr(mutated) == om + GradedPoly.monomial(
+        [(dr.delta[x], 1), (dr.delta[u], 1)], 2
+    )
+    assert omega0(dr) is om and build_phi(dr) is phi
+
+
 def test_omega0_bidegree(fermat_dr1):
     om = omega0(fermat_dr1)
     assert om.internal_degree() == -1

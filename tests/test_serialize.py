@@ -173,3 +173,12 @@ def test_writer_matches_json_dumps_on_shared_leaves():
     terms = [{"c": c, "m": [leaf, ["y[1]", 1]]}, {"c": c, "m": [leaf]}, {"c": "1", "m": [leaf, leaf]}]
     tree = {"differentials": {"a": terms, "b": terms[1:]}}
     assert written(tree) == canonical(tree)
+
+
+@pytest.mark.parametrize("path", sorted(MANIFESTS.glob("*.json")), ids=lambda p: p.name)
+def test_input_hash_is_the_sha256_of_the_canonical_manifest(path):
+    import hashlib
+
+    manifest = load_manifest(str(path))
+    blob = json.dumps(manifest.to_json(), sort_keys=True, separators=(",", ":"))
+    assert manifest.input_hash() == hashlib.sha256(blob.encode()).hexdigest()
