@@ -211,7 +211,8 @@ class _TermMap:
     Subclasses fix the key type through three hooks: ``_canon`` turns a
     caller-supplied key into canonical form (None when it is zero),
     ``_print_key`` orders keys for printing, and ``_factors`` names a key's
-    factors.  Results of the linear operations keep the operand's class.
+    factors in a fresh list.  Results of the linear operations keep the
+    operand's class.
     """
 
     __slots__ = ("terms",)
@@ -329,21 +330,21 @@ class _TermMap:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kc: self._print_key(kc[0]))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, c in self.sorted_terms():
+    def term_texts(self, limit=None) -> list:
+        """The first `limit` terms (every term by default) in printing order,
+        each as ``str`` prints it alone, in the parser's syntax:
+        ``-5*x^4*y``, ``x*y``, ``-1/3``, ``1``."""
+        texts = []
+        for k, c in self.sorted_terms()[:limit]:
             factors = self._factors(k)
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            chunks.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(chunks)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            texts.append("-" + "*".join(factors) if c < 0 else "*".join(factors))
+        return texts
+
+    def __str__(self):
+        # generator names hold no spaces, so " + -" only ever opens a negative term
+        return " + ".join(self.term_texts()).replace(" + -", " - ") or "0"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -79,7 +79,7 @@ _WITNESS_TERMS = 3  # leading terms of a nonzero residual shown in a report
 
 def _leading_terms(p) -> list:
     """The first terms of a nonzero residual, printed: a failure witness."""
-    return [str(type(p)({k: c})) for k, c in p.sorted_terms()[:_WITNESS_TERMS]]
+    return p.term_texts(_WITNESS_TERMS)
 
 
 def _d_squared_result(rep, presentation: dict) -> dict:

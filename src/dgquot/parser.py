@@ -4,10 +4,19 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := rational | variable | factor '^' positive-integer | '(' expr ')'
+    factor := rational | name | factor '^' positive-integer | '(' expr ')'
+    name   := identifier ('[' index (',' index)* ']')*
 
-Rationals are integers or integer/integer.  The canonical printer in
-algebra.GradedPoly emits exactly this grammar, so parse/print round-trips.
+Rationals are integers or integer/integer.  An identifier is a letter or
+underscore, then letters, digits and underscores; an index is a run of
+letters, digits and underscores.  A name is one token, with no whitespace
+inside, looked up whole in the declared generator table: ``a[w,x][1,2]``,
+``y[1]`` and ``s[1][2,2]`` name chart generators.  An undeclared name,
+indexed or not, is a ParseError at its first character.  Manifest
+variables stay plain identifiers (variable_gens).  The canonical printer
+in algebra.GradedPoly emits exactly this grammar, so parse/print
+round-trips, and a presentation report's term strings parse back against
+the report's own generator table.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .algebra import GenSym, GradedPoly
 from .errors import ParseError, StructureError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = re.compile(_IDENT.pattern + r"(?:\[\w+(?:,\w+)*\])*", re.ASCII)
 _NUMBER = re.compile(r"[0-9]+")
 
 VARIABLE_KIND = "variable"
@@ -117,9 +127,11 @@ def _parse_factor(toks: _Tokens, gens) -> GradedPoly:
     elif ch.isdigit():
         poly = GradedPoly.const(_parse_rational(toks))
     else:
-        m = toks.match_re(_IDENT)
+        m = toks.match_re(_NAME)
         if not m:
             raise ParseError("expected a number, variable or '('", start)
+        if toks.text.startswith("[", toks.pos):
+            raise ParseError("malformed index group", toks.pos)
         name = m.group(0)
         if name not in gens:
             raise ParseError(f"unknown identifier {name!r}", start)

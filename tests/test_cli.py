@@ -189,6 +189,15 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
         assert out == "" and err.startswith("error: ")
 
 
+def test_main_rejects_an_indexed_name_in_a_relation(tmp_path, capsys):
+    # chart names parse only against a chart's table, never as manifest variables
+    bad = tmp_path / "indexed.json"
+    bad.write_text(json.dumps({"variables": ["x"], "relations": ["x[1] - 1"], "tasks": ["h0"]}))
+    assert main(["run", "--manifest", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "'x[1]'" in err
+
+
 def test_main_rejects_missing_manifest(tmp_path, capsys):
     assert main(["h0", "--manifest", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read manifest")

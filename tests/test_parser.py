@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquot import GradedPoly, ParseError, parse_poly
+from dgquot import GenSym, GradedPoly, ParseError, StructureError, parse_poly
 from dgquot.parser import variable_gens
 
 VARS = ["w", "x", "y", "z"]
@@ -93,3 +93,46 @@ def test_parse_print_roundtrip_structured(termlist):
 
 def test_whitespace_insignificant():
     assert parse_poly("x+ y *  z", VARS) == parse_poly("x+y*z", VARS)
+
+
+CHART = [
+    GenSym("x[1,1]", 0, "matrix-entry"),
+    GenSym("y[1]", 0, "framing"),
+    GenSym("a[w,x][1,2]", -1, "matrix-entry"),
+    GenSym("s[1][2,2]", -1, "matrix-entry"),
+]
+
+
+def test_indexed_names_are_looked_up_whole():
+    x, y, a, s = (GradedPoly.gen(g) for g in CHART)
+    assert parse_poly("-5*x[1,1]^4*a[w,x][1,2]", CHART) == -5 * x**4 * a
+    assert parse_poly("y[1]*s[1][2,2] - 1/3", CHART) == y * s - Fraction(1, 3)
+    assert parse_poly("(x[1,1] + y[1])^2", CHART) == (x + y) ** 2
+    for text in ("-5*x[1,1]^4*a[w,x][1,2]", "y[1]*s[1][2,2]", "x[1,1]", "1"):
+        assert str(parse_poly(text, CHART)) == text
+
+
+def test_unknown_indexed_name_fails_at_its_identifier():
+    with pytest.raises(ParseError, match=r"'w\[9,9\]'") as err:
+        parse_poly("x[1,1] + w[9,9]", CHART)
+    assert err.value.position == len("x[1,1] + ")
+    # an indexed name is never a prefix lookup
+    with pytest.raises(ParseError) as err:
+        parse_poly("2*x[1,1][1]", CHART)
+    assert err.value.position == 2
+
+
+@pytest.mark.parametrize("text", ["w[1,1", "x[1,1", "x[1,1]*y[", "x[]", "x[1,,1]", "x [1,1]", "x[1, 1]"])
+def test_malformed_index_groups_raise(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, CHART + [GenSym("w[1,1]", 0, "matrix-entry"), GenSym("x", 0, "variable")])
+    assert err.value.position >= 0
+
+
+def test_manifest_variables_stay_plain_identifiers():
+    for bad in (["x[1]"], ["x", "a[w,x]"], ["y[1][2]"]):
+        with pytest.raises(StructureError):
+            variable_gens(bad)
+    with pytest.raises(ParseError) as err:
+        parse_poly("x[1] - 1", ["x"])
+    assert err.value.position == 0

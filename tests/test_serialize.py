@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgquot import GenSym, cli, matricize
+from dgquot import GenSym, GradedPoly, NCPoly, cli, matricize, parse_poly
 from dgquot.serialize import (
     TASKS,
     Report,
@@ -14,7 +14,7 @@ from dgquot.serialize import (
     load_manifest,
     write_canonical,
 )
-from tests.test_cli import MANIFESTS, _corrupted_pipeline, canonical
+from tests.test_cli import GOLDEN, MANIFESTS, _corrupted_pipeline, canonical
 
 
 def written(obj) -> str:
@@ -140,39 +140,118 @@ def test_every_report_shape_matches_json_dumps():
         assert report.dumps() == canonical(report.to_json())
 
 
-def _terms(tree):
-    return [t for terms in tree["differentials"].values() for t in terms]
-
-
 @pytest.fixture(scope="module")
 def chart_tree(presentations):
     return chart_presentation_json(matricize(presentations["fermat"], 2))
 
 
-def test_chart_report_shares_one_list_per_generator_exponent_pair(chart_tree):
-    items = [item for t in _terms(chart_tree) for item in t["m"]]
-    assert all(type(item) is list for item in items)
-    assert len({id(item) for item in items}) == len({tuple(item) for item in items})
-
-
-def test_presentation_reports_share_one_string_per_coefficient(presentations, chart_tree):
+def test_differentials_are_term_strings_written_one_list_per_write(presentations, chart_tree):
     free_tree = free_presentation_json(presentations["fermat"])
     for tree in (chart_tree, free_tree):
-        coeffs = [t["c"] for t in _terms(tree)]
-        assert len({id(c) for c in coeffs}) == len(set(coeffs)) > 1
+        diffs = [terms for _, terms in sorted(tree["differentials"].items())]
+        assert all(type(terms) is list and all(type(t) is str for t in terms) for terms in diffs)
+        assert sum(map(len, diffs)) > len(diffs)
+        writes = []
+        write_canonical(tree, writes.append)
+        # "differentials" sorts first, so its lists are the first whole lists written
+        whole_lists = [json.loads(w) for w in writes if w.startswith("[") and w.endswith("]")]
+        assert whole_lists[: len(diffs)] == diffs
 
 
 def test_a_shared_leaf_tree_equals_its_parsed_json(chart_tree):
-    text = canonical(chart_tree)
-    assert json.loads(text) == chart_tree
-    assert written(chart_tree) == text
+    # a report tree is plain JSON, and subtrees shared between reports write
+    # as often as they occur
+    for tree in (chart_tree, {"a": chart_tree, "b": [chart_tree["differentials"]] * 2}):
+        text = canonical(tree)
+        assert json.loads(text) == tree
+        assert written(tree) == text
 
 
 def test_writer_matches_json_dumps_on_shared_leaves():
-    leaf, c = ["x[1,2]", 3], "-5"
-    terms = [{"c": c, "m": [leaf, ["y[1]", 1]]}, {"c": c, "m": [leaf]}, {"c": "1", "m": [leaf, leaf]}]
-    tree = {"differentials": {"a": terms, "b": terms[1:]}}
+    terms = ["-5*x[1,2]^4*a[w,x][1,1]", "w[1,2]*x[2,1]", "1"]
+    tree = {"differentials": {"a": terms, "b": terms, "c": terms[1:], "d": []}, "e": [terms, terms]}
     assert written(tree) == canonical(tree)
+
+
+def generator_table(presentation: dict) -> list:
+    """A presentation report's generators, rebuilt from its own table."""
+    return [
+        GenSym(g["name"], g["degree"], g["kind"], g.get("dform", False))
+        for g in presentation["generators"]
+    ]
+
+
+def parse_word_term(text: str, by_name: dict) -> NCPoly:
+    """A free-side term string, ``-2*a[w,x]*y``: an optional sign and
+    coefficient, then letters in word order."""
+    sign = -1 if text.startswith("-") else 1
+    factors = text.lstrip("-").split("*")
+    c = Fraction(factors.pop(0)) if factors[0][0].isdigit() else 1
+    return NCPoly.word([by_name[f] for f in factors], sign * c)
+
+
+def parsed_differentials(presentation: dict) -> dict:
+    """generator name -> its differential, read back from the term strings
+    against the report's own generator table only."""
+    gens = generator_table(presentation)
+    by_name = {g.name: g for g in gens}
+    out = {}
+    for name, terms in presentation["differentials"].items():
+        if "n" in presentation:  # a chart: graded-commutative terms
+            polys = [parse_poly(t, gens) for t in terms]
+            assert all(len(p.terms) == 1 for p in polys)
+            out[name] = sum(polys, GradedPoly.zero())
+        else:
+            out[name] = sum((parse_word_term(t, by_name) for t in terms), NCPoly.zero())
+    return out
+
+
+def _presentations(report: dict) -> list:
+    return [r["presentation"] for r in report["results"] if "presentation" in r]
+
+
+@pytest.mark.parametrize(
+    "golden, n",
+    [
+        ("fermat_free.json", None),
+        ("fermat_chart_n1.json", 1),
+        ("fermat_chart_n2.json", 2),
+        ("fermat_report_n1.json", 1),
+    ],
+)
+def test_golden_presentations_parse_back_to_the_live_differentials(presentations, charts, golden, n):
+    tree = json.loads((GOLDEN / golden).read_text())
+    found = _presentations(tree) if "results" in tree else [tree]
+    assert len(found) == (2 if "results" in tree else 1)
+    for pres_json in found:
+        live = charts["fermat", n] if "n" in pres_json else presentations["fermat"]
+        assert sorted(g.name for g in live.generators) == list(pres_json["differentials"])
+        assert generator_table(pres_json) == list(live.generators)
+        parsed = parsed_differentials(pres_json)
+        for g in live.generators:
+            assert parsed[g.name] == live.diff[g], g.name
+            assert pres_json["differentials"][g.name] == live.diff[g].term_texts()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_h0_strings_parse_back_to_the_chart_differentials(presentations, n):
+    manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
+    manifest.n = n
+    manifest.points = []
+    report = cli.run(manifest, ["repify", "h0"]).to_json()
+    (pres_json,), h0 = _presentations(report), report["results"][1]
+    gens = generator_table(pres_json)
+    chart = matricize(presentations["fermat"], n)
+    entries = [g for g in gens if g.degree == -1]
+    assert h0["count"] == len(entries) == len(h0["generators"])
+    for g, text in zip(entries, h0["generators"]):
+        assert parse_poly(text, gens) == chart.diff[g]
+        # the h0 text is the presentation's term strings, joined
+        terms = pres_json["differentials"][g.name]
+        assert text == (" + ".join(terms).replace(" + -", " - ") if terms else "0")
+    if n == 1:
+        golden = json.loads((GOLDEN / "fermat_report_n1.json").read_text())
+        assert [r for r in golden["results"] if r["task"] == "h0"] == [h0]
 
 
 @pytest.mark.parametrize("path", sorted(MANIFESTS.glob("*.json")), ids=lambda p: p.name)
