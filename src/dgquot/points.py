@@ -3,17 +3,32 @@
 A point is an m-tuple of n x n rational matrices plus a framing vector.
 Classical membership is checked against the degree-0 truncation ideal of a
 chart; stability is the exact Krylov-closure surjectivity criterion.
+
+Every exact test at a point is a zero test or a rank, and neither changes
+when a matrix or vector is multiplied by a nonzero scalar.  So the tests
+read the point on one integer scale: with D the lcm of the denominators of
+the matrix entries, they run on the integer matrices D X_k
+(`MatrixPoint.integer_scale`), and the Krylov test also clears the
+denominators of the framing vector.  At an integer point D = 1 and the
+matrices are used as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .algebra import GradedPoly
 from .errors import DimensionError, StructureError
 from .repify import ChartPresentation
+
+
+def _cleared(rows, d: int) -> tuple:
+    """d times a matrix as ints, d a multiple of every entry's denominator."""
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -39,6 +54,14 @@ class MatrixPoint:
     def m(self) -> int:
         return len(self.matrices)
 
+    @cached_property
+    def integer_scale(self) -> tuple:
+        """(D, (D X_1, ..., D X_m)): D is the lcm of the denominators of all
+        the matrix entries, so the scaled matrices are integer matrices.  At
+        D = 1 they are the point's own matrices."""
+        d = lcm(*(x.denominator for mat in self.matrices for row in mat for x in row))
+        return d, self.matrices if d == 1 else tuple(_cleared(mat, d) for mat in self.matrices)
+
 
 def _variable_values(chart: ChartPresentation, pt: MatrixPoint) -> dict:
     """Free variable generator -> the point's matrix, after a shape check."""
@@ -61,17 +84,37 @@ def chart_assignment(chart: ChartPresentation, pt: MatrixPoint) -> dict:
 
 
 class WordProducts(dict):
-    """word -> the point's matrices multiplied along a word of free
+    """word -> D^|w| X_w: the point's matrices on their integer scale D
+    (`MatrixPoint.integer_scale`) multiplied along a word of free
     variables, each built from its memoized prefix.  A plain dict with no
-    reference back to itself, so it is freed as soon as its caller drops it."""
+    reference back to itself, so it is freed as soon as its caller drops
+    it."""
 
     def __init__(self, chart: ChartPresentation, pt: MatrixPoint):
-        self._values = _variable_values(chart, pt)
+        variables = _variable_values(chart, pt)  # checks the shape
+        self.scale, scaled = pt.integer_scale
+        self._values = dict(zip(variables, scaled))
         super().__init__({(): linalg.identity(chart.n)})
 
     def __missing__(self, word):
         out = self[word] = linalg.mat_mul(self[word[:-1]], self._values[word[-1]])
         return out
+
+    def weighted_terms(self, chart: ChartPresentation, degree: int) -> tuple:
+        """(L, [(g, [(word, c D^(L - |w|)), ...]), ...]) over the free
+        generators g of `degree`, L the longest word of their differentials.
+        Each weighted term times `self[word]` carries D^L, so a sum of them
+        is D^L times its value at the point."""
+        bases = [g for g in chart.source.generators if g.degree == degree]
+        diffs = [chart.source.diff[g].terms for g in bases]
+        longest = max((len(word) for terms in diffs for word in terms), default=0)
+        d = self.scale
+        if d == 1:
+            return longest, [(g, terms.items()) for g, terms in zip(bases, diffs)]
+        return longest, [
+            (g, [(word, c * d ** (longest - len(word))) for word, c in terms.items()])
+            for g, terms in zip(bases, diffs)
+        ]
 
 
 def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
@@ -79,11 +122,13 @@ def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
     else (False, first failing polynomial).
 
     Entry (mu, nu) of the block of g is read off sum c * X_{w1}...X_{wk}
-    over the words of g's free differential: only a witness builds a block."""
+    over the words of g's free differential, times D^L on the point's
+    integer scale (`WordProducts.weighted_terms`): only a witness builds a
+    block."""
     product = WordProducts(chart, pt)
     value = {}
-    for base in (g for g in chart.source.generators if g.degree == -1):
-        for word, c in chart.source.diff[base].terms.items():
+    for base, terms in product.weighted_terms(chart, -1)[1]:
+        for word, c in terms:
             for gens, row in zip(chart.blocks[base.name], product[word]):
                 for g, x in zip(gens, row):
                     value[g] = value.get(g, 0) + c * x
@@ -100,10 +145,16 @@ def krylov_dimension_profile(pt: MatrixPoint) -> list:
     """Span dimension of the Krylov closure of the framing vector after each
     round, stopping once the span is full or stops growing.  A candidate
     joins the spanning list when it raises the exact rank (`linalg.rank`);
-    the next round's candidates are the images of the vectors that joined."""
+    the next round's candidates are the images of the vectors that joined.
+    It runs on the integer matrices D X_k and the framing vector with its
+    denominators cleared, so each candidate is a nonzero multiple of the
+    unscaled one and the profile is the same."""
+    _, matrices = pt.integer_scale
+    d = lcm(*(x.denominator for x in pt.vector))
+    vector = pt.vector if d == 1 else _cleared([pt.vector], d)[0]
     span: list = []
     dims = []
-    candidates = [pt.vector]
+    candidates = [vector]
     while candidates:
         new = []
         for w in candidates:
@@ -113,7 +164,7 @@ def krylov_dimension_profile(pt: MatrixPoint) -> list:
         dims.append(len(span))
         if len(span) == pt.n:
             break
-        candidates = [linalg.mat_vec(mat, v) for v in new for mat in pt.matrices]
+        candidates = [linalg.mat_vec(mat, v) for v in new for mat in matrices]
     return dims
 
 

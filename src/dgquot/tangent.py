@@ -10,6 +10,14 @@ degree 0; words with two or more negative letters contribute nothing.  The
 chart product of a word is multilinear in its negative-degree letters, and
 an odd letter among even ones carries no Koszul sign, so this is exact.
 
+The composition check and the ranks are unchanged when a matrix is
+multiplied by a nonzero scalar, so they run on the point's integer scale
+(`MatrixPoint.integer_scale`): with D the lcm of the denominators of the
+point's matrix entries, d0 and d1 are built as the integer matrices
+D^(L-1) d0 and D^(L-1) d1, L the longest word of the differentials in
+their degree, and divided only when `TangentComplex.d0` or `.d1` is read.
+Support detection runs on D X_k.
+
 The independent oracle gives Ext^i of a distinct-reduced-point ideal in
 affine m-space against the skyscraper quotient in closed form, from the
 Koszul resolution of each point's maximal ideal, for n distinct reduced
@@ -20,10 +28,12 @@ chart; the comparison realizes the n^2 gauge offset in degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from . import linalg
+from .algebra import _coeff
 from .errors import NotClassicalError, StructureError
 from .points import MatrixPoint, WordProducts, is_classical_point, is_stable, matrices_commute
 from .repify import ChartPresentation
@@ -34,8 +44,18 @@ class TangentComplex:
     basis0: tuple  # degree-0 directions (entries then framing, canonical order)
     basis1: tuple  # duals of degree -1 generators
     basis2: tuple  # duals of degree -2 generators
-    d0: tuple  # len(basis1) x len(basis0) linalg.Matrix
-    d1: tuple  # len(basis2) x len(basis1)
+    scaled: tuple  # (e0 d0, e1 d1): the matrices the exact tests read
+    scales: tuple  # (e0, e1), positive ints
+
+    @property
+    def d0(self) -> linalg.Matrix:
+        """len(basis1) x len(basis0)."""
+        return _divided(self.scaled[0], self.scales[0])
+
+    @property
+    def d1(self) -> linalg.Matrix:
+        """len(basis2) x len(basis1)."""
+        return _divided(self.scaled[1], self.scales[1])
 
     @property
     def dims(self):
@@ -44,7 +64,12 @@ class TangentComplex:
     def composition_is_zero(self) -> bool:
         if not self.basis2 or not self.basis1 or not self.basis0:
             return True
-        return linalg.is_zero_matrix(linalg.mat_mul(self.d1, self.d0))
+        d0, d1 = self.scaled
+        return linalg.is_zero_matrix(linalg.mat_mul(d1, d0))
+
+
+def _divided(mat, e: int) -> linalg.Matrix:
+    return mat if e == 1 else tuple(tuple(_coeff(Fraction(x, e)) for x in row) for row in mat)
 
 
 @dataclass
@@ -66,22 +91,24 @@ def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComp
         raise NotClassicalError("tangent complex", witness)
     product = WordProducts(chart, pt)
     basis0, basis1, basis2 = (chart.generators_of_degree(k) for k in (0, -1, -2))
-    d0 = _linearized_rows(chart, product, -1, basis0)
-    d1 = _linearized_rows(chart, product, -2, basis1)
-    return TangentComplex(basis0, basis1, basis2, d0, d1)
+    d0, e0 = _linearized_rows(chart, product, -1, basis0)
+    d1, e1 = _linearized_rows(chart, product, -2, basis1)
+    return TangentComplex(basis0, basis1, basis2, (d0, d1), (e0, e1))
 
 
 def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: int, columns: tuple) -> tuple:
-    """Linearized differential of the degree-`degree` entry generators, over
-    `columns`.  For a word term c * P . delta . S, entry (mu, nu) of the
+    """(e d, e): the linearized differential d of the degree-`degree` entry
+    generators, over `columns`, times its scale e = D^(L-1) (module
+    docstring).  For a word term c * P . delta . S, entry (mu, nu) of the
     block gets c * P[mu][a] * S[b][nu] in the column of the letter's entry
     [a, b]."""
     n = chart.n
     col = {g: i for i, g in enumerate(columns)}
     rows = {}
-    for base in (g for g in chart.source.generators if g.degree == degree):
+    longest, weighted = product.weighted_terms(chart, degree)
+    for base, terms in weighted:
         block = [[[0] * len(columns) for _ in range(n)] for _ in range(n)]
-        for word, c in chart.source.diff[base].terms.items():
+        for word, c in terms:
             neg = [j for j, g in enumerate(word) if g.degree < 0]
             if len(neg) > 1:
                 continue
@@ -93,7 +120,8 @@ def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: in
                         block[mu][nu][col[entries[a][b]]] += c * x * y
         for gens, block_row in zip(chart.blocks[base.name], block):
             rows.update(zip(gens, map(tuple, block_row)))
-    return tuple(rows[g] for g in chart.generators_of_degree(degree))
+    scale = product.scale ** max(longest - 1, 0)
+    return tuple(rows[g] for g in chart.generators_of_degree(degree)), scale
 
 
 def _nonzero_entries(mat) -> list:
@@ -108,8 +136,7 @@ def chart_cohomology(chart: ChartPresentation, pt: MatrixPoint) -> CohomologyRep
     if not t.composition_is_zero():
         raise StructureError("linearized differentials do not compose to zero")
     n0, n1, n2 = t.dims
-    r0 = linalg.rank(t.d0)
-    r1 = linalg.rank(t.d1)
+    r0, r1 = (linalg.rank(d) for d in t.scaled)
     pres = chart.source
     m, r = len(pres.source.variables), len(pres.source.relations)
     # for r = 0 the Koszul family, with |S| <= 1 - truncation_degree, is the
@@ -140,16 +167,19 @@ def detect_reduced_support(pt: MatrixPoint) -> bool:
     algebraic closure: the X_k commute and some C = sum_k t^k X_k has n
     distinct eigenvalues, so each eigenline of C is a common eigenline of
     the X_k.  C has as many distinct eigenvalues as the rank of the Hankel
-    matrix [tr(C^(i+j))] of its power sums (Hermite's quadratic form)."""
+    matrix [tr(C^(i+j))] of its power sums (Hermite's quadratic form).
+    On the integer matrices D X_k, that Hankel matrix is
+    diag(D^i) H diag(D^j), of the same rank."""
     n, m = pt.n, pt.m
-    if not matrices_commute(pt.matrices):
+    _, matrices = pt.integer_scale
+    if not matrices_commute(matrices):
         return False
     # Point p goes to sum_k t^k p_k.  Two distinct points collide only at the
     # at most m - 1 roots of a nonzero polynomial in t, so among C(n,2)(m-1)+1
     # consecutive weights one separates all n points when they are distinct.
     for t in range(1, comb(n, 2) * (m - 1) + 2):
         combo = linalg.zero_matrix(n, n)
-        for k, mat in enumerate(pt.matrices):
+        for k, mat in enumerate(matrices):
             combo = linalg.mat_add(combo, linalg.mat_scale(mat, t**k))
         powers = [linalg.identity(n)]
         while len(powers) < 2 * n - 1:

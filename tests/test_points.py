@@ -15,7 +15,7 @@ from dgquot import (
     is_stable,
     matricize,
 )
-from dgquot.linalg import is_zero_matrix
+from dgquot.linalg import is_zero_matrix, mat_vec, rank
 from dgquot.points import (
     chart_assignment,
     evaluate_relation_matrix,
@@ -99,6 +99,45 @@ def test_krylov_profile_monotone_and_quick():
                 final = dims[-1]
                 cutoff = min(n - 1, len(dims) - 1)
                 assert dims[cutoff] == final
+
+
+def krylov_reference(pt):
+    """The Krylov profile on the point's own rational entries, without
+    clearing any denominator."""
+    span, dims = [], []
+    candidates = [pt.vector]
+    while candidates:
+        new = []
+        for w in candidates:
+            if rank(span + [w]) > len(span):
+                span.append(w)
+                new.append(w)
+        dims.append(len(span))
+        if len(span) == pt.n:
+            break
+        candidates = [mat_vec(mat, v) for v in new for mat in pt.matrices]
+    return dims
+
+
+def test_krylov_profile_matches_the_rational_reference(corpus):
+    rng = random.Random(43)
+    src = corpus["sphere"]
+    on_sphere = [(F(3, 5), F(4, 5), 0), (F(2, 3), F(2, 3), F(1, 3)), (F(2, 7), F(3, 7), F(6, 7))]
+    cases = [diag_point(on_sphere[:n], src.relations, src.var_gens) for n in (2, 3)]
+    cases += [gl_action(rand_invertible(rng, pt.n), pt) for pt in cases for _ in range(3)]
+    cases += [MatrixPoint(pt.matrices, (F(1, 2), F(-2, 3), F(3, 4))[: pt.n]) for pt in cases]
+    # two equal coordinate tuples: the profile stops at rank 2 of 3
+    unstable = diag_point([(F(1, 2), F(1, 3), 0), (F(1, 2), F(1, 3), 0), (F(1, 5), 0, 0)], (), src.var_gens)
+    assert krylov_dimension_profile(unstable) == krylov_reference(unstable) == [1, 2, 2]
+    cases += [unstable, gl_action(rand_invertible(rng, 3), unstable)]
+    for n in (2, 3, 4):
+        for _ in range(20):
+            mats = [[[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+            cases.append(MatrixPoint(mats, [F(rng.randint(-2, 2), rng.randint(1, 6)) for _ in range(n)]))
+    for pt in cases:
+        assert krylov_dimension_profile(pt) == krylov_reference(pt), pt
+        assert is_stable(pt) == (krylov_reference(pt)[-1] == pt.n)
+    assert any(krylov_reference(pt)[-1] < pt.n for pt in cases[-60:])
 
 
 def test_diag_point_construction(corpus):
@@ -215,3 +254,28 @@ def test_classical_point_builds_no_chart_block(presentations, corpus):
         assert is_classical_point(pt, chart) == (True, None)
         assert dict.__len__(chart.diff) == len(chart.framing)
         assert classical_reference(pt, chart) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "tuples",
+    [
+        [(F(6, 5), F(8, 5), 0)],  # the sphere point (3/5, 4/5, 0) scaled by 2
+        [(F(6, 5), F(8, 5), 0), (0, 0, 1)],
+        # 25 (x^2 + y^2 + z^2) = 1: without the weight D^(L - |w|) on the
+        # relation's constant, a length-0 word, the scaled sum would vanish
+        [(F(1, 5), 0, 0)],
+        [(F(1, 5), 0, 0), (0, F(-1, 5), 0)],
+    ],
+)
+def test_classical_test_weights_each_word_to_one_scale(presentations, tuples):
+    n = len(tuples)
+    mats = [[[F(tuples[d][i]) if d == e else 0 for e in range(n)] for d in range(n)] for i in range(3)]
+    pt = MatrixPoint(mats, (1,) * n)
+    assert matrices_commute(pt.matrices)
+    chart = matricize(presentations["sphere"], n)
+    ok, witness = is_classical_point(pt, chart)
+    ref_ok, ref_witness = classical_reference(pt, matricize(presentations["sphere"], n))
+    assert not ok and not ref_ok
+    assert witness == ref_witness and str(witness) == str(ref_witness)
+    first = next(g for g in chart.generators_of_degree(-1) if chart.diff[g] == witness)
+    assert first.name.startswith("s[")

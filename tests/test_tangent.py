@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from dgquot import (
     diag_point,
     gl_action,
     is_classical_point,
+    is_stable,
     koszul_ext_oracle,
     matricize,
     quot_tangent_check,
@@ -22,12 +24,12 @@ from dgquot import (
 )
 from dgquot import linalg
 from dgquot.cli import run
-from dgquot.points import chart_assignment
+from dgquot.points import chart_assignment, matrices_commute
 from dgquot.serialize import load_manifest
 from dgquot.tangent import detect_reduced_support
 from tests.conftest import CORPUS_SPECS
 from tests.test_algebra import linear_part_reference
-from tests.test_points import rand_invertible
+from tests.test_points import classical_reference, rand_invertible
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -154,6 +156,21 @@ def test_free_route_matches_symbolic_route(presentations, corpus):
     assert_free_route_matches_symbolic(presentations, corpus, cases)
 
 
+def test_rational_relation_coefficients_stay_exact():
+    # the sphere of radius 1/2: its relation's constant is -1/4
+    src = AlgebraInput.from_strings(["x", "y", "z"], ["x^2 + y^2 + z^2 - 1/4"])
+    chart = matricize(build_resolution(src), 2)
+    pt = diag_point([(F(3, 10), F(2, 5), 0), (0, 0, F(1, 2))], src.relations, src.var_gens)
+    rng = random.Random(37)
+    for point in (pt, gl_action(rand_invertible(rng, 2), pt)):
+        t = tangent_complex_at(chart, point)
+        assert (t.d0, t.d1) == symbolic_tangent_reference(chart, point)
+        assert chart_cohomology(chart, point).as_tuple()[:2] == (8, 2)
+    off = MatrixPoint(([[F(3, 10), 0], [0, 0]], [[F(2, 5), 0], [0, 0]], [[F(1, 2), 0], [0, F(1, 2)]]), (1, 1))
+    ok, witness = is_classical_point(off, chart)
+    assert not ok and (ok, witness) == classical_reference(off, matricize(build_resolution(src), 2))
+
+
 @pytest.mark.extended
 def test_free_route_matches_symbolic_route_fermat_n3(presentations, corpus):
     assert_free_route_matches_symbolic(presentations, corpus, [("fermat", 3)])
@@ -269,6 +286,89 @@ def test_support_detection(corpus):
     # noncommuting matrices are not a module over the polynomial ring
     bad = MatrixPoint(([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]), (F(1), F(0)))
     assert detect_reduced_support(bad) is False
+
+
+def support_reference(pt):
+    """Support detection on the point's own rational entries, without
+    clearing any denominator."""
+    n, m = pt.n, pt.m
+    if not matrices_commute(pt.matrices):
+        return False
+    for t in range(1, comb(n, 2) * (m - 1) + 2):
+        combo = linalg.zero_matrix(n, n)
+        for k, mat in enumerate(pt.matrices):
+            combo = linalg.mat_add(combo, linalg.mat_scale(mat, t**k))
+        powers = [linalg.identity(n)]
+        while len(powers) < 2 * n - 1:
+            powers.append(linalg.mat_mul(powers[-1], combo))
+        sums = [linalg.mat_trace(p) for p in powers]
+        if linalg.rank([sums[i : i + n] for i in range(n)]) == n:
+            return True
+    return False
+
+
+RATIONAL_A3 = [
+    # (coordinate tuples, n distinct points)
+    ([(F(1, 2), F(1, 3), 0), (0, F(2, 3), F(5, 4))], True),
+    ([(F(1, 2), F(1, 3), F(1, 5)), (F(1, 3), F(1, 2), F(1, 5)), (F(1, 5), F(1, 3), F(1, 2))], True),
+    # equal under sum_k t^k p_k at t = 1: (1/2, 1/3, 0) and (1/3, 1/2, 0)
+    ([(F(1, 2), F(1, 3), 0), (F(1, 3), F(1, 2), 0)], True),
+    ([(F(1, 2), F(1, 3), 0), (F(1, 2), F(1, 3), 0), (F(-1, 7), 0, 0)], False),
+]
+
+
+@pytest.mark.parametrize("tuples, distinct", RATIONAL_A3)
+def test_support_detection_at_rational_points_matches_the_rational_reference(charts, presentations, corpus, tuples, distinct):
+    src = corpus["k[x,y,z]"]
+    n = len(tuples)
+    chart = charts.get(("k[x,y,z]", n)) or matricize(presentations["k[x,y,z]"], n)
+    pt = diag_point(tuples, src.relations, src.var_gens)
+    rng = random.Random(n)
+    for point in (pt, gl_action(rand_invertible(rng, n), pt)):
+        assert detect_reduced_support(point) is support_reference(point) is distinct
+        q = quot_tangent_check(chart, point)
+        if distinct:
+            assert q.oracle == koszul_ext_oracle(3, n) and q.ok
+        else:
+            assert not q.has_oracle and not is_stable(point)
+
+
+def test_support_detection_rejects_a_rational_jordan_block(charts):
+    jordan = [[F(1, 2), F(1, 3)], [0, F(1, 2)]]
+    zero = [[0, 0], [0, 0]]
+    pt = MatrixPoint((jordan, zero, zero), (0, 1))
+    assert detect_reduced_support(pt) is support_reference(pt) is False
+    q = quot_tangent_check(charts[("k[x,y,z]", 2)], pt)
+    assert q.note == "no oracle: support is not n distinct points"
+
+
+# rational points of x^2 + y^2 + z^2 = 1
+SPHERE_TUPLES = [(F(3, 5), F(4, 5), 0), (F(2, 3), F(2, 3), F(1, 3)), (F(2, 7), F(3, 7), F(6, 7)), (0, F(5, 13), F(12, 13))]
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rational_sphere_points_make_no_fraction_arithmetic(presentations, corpus, monkeypatch, n):
+    src = corpus["sphere"]
+    chart = matricize(presentations["sphere"], n)
+    pt = diag_point(SPHERE_TUPLES[:n], src.relations, src.var_gens)
+    shear = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    points = (pt, gl_action(shear, pt))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic at a rational point")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(F, name, refuse)
+    for point in points:
+        assert is_classical_point(point, chart) == (True, None)
+        assert is_stable(point)
+        rep = chart_cohomology(chart, point)
+        assert (rep.h0, rep.h1) == (n * n + 2 * n, n)
 
 
 def test_support_detection_separates_points_that_collide_at_small_weights(presentations, corpus):
