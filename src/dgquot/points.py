@@ -9,8 +9,7 @@ when a matrix or vector is multiplied by a nonzero scalar.  So the tests
 read the point on one integer scale: with D the lcm of the denominators of
 the matrix entries, they run on the integer matrices D X_k
 (`MatrixPoint.integer_scale`), and the Krylov test also clears the
-denominators of the framing vector.  At an integer point D = 1 and the
-matrices are used as they are.
+denominators of the framing vector.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ class MatrixPoint:
     @cached_property
     def integer_scale(self) -> tuple:
         """(D, (D X_1, ..., D X_m)): D is the lcm of the denominators of all
-        the matrix entries, so the scaled matrices are integer matrices.  At
-        D = 1 they are the point's own matrices."""
+        the matrix entries, so the scaled matrices are integer matrices."""
         d = lcm(*(x.denominator for mat in self.matrices for row in mat for x in row))
-        return d, self.matrices if d == 1 else tuple(_cleared(mat, d) for mat in self.matrices)
+        return d, tuple(_cleared(mat, d) for mat in self.matrices)
 
 
 def _variable_values(chart: ChartPresentation, pt: MatrixPoint) -> dict:
@@ -92,6 +90,7 @@ class WordProducts(dict):
 
     def __init__(self, chart: ChartPresentation, pt: MatrixPoint):
         variables = _variable_values(chart, pt)  # checks the shape
+        self._source = chart.source
         self.scale, scaled = pt.integer_scale
         self._values = dict(zip(variables, scaled))
         super().__init__({(): linalg.identity(chart.n)})
@@ -100,17 +99,15 @@ class WordProducts(dict):
         out = self[word] = linalg.mat_mul(self[word[:-1]], self._values[word[-1]])
         return out
 
-    def weighted_terms(self, chart: ChartPresentation, degree: int) -> tuple:
+    def weighted_terms(self, degree: int) -> tuple:
         """(L, [(g, [(word, c D^(L - |w|)), ...]), ...]) over the free
         generators g of `degree`, L the longest word of their differentials.
         Each weighted term times `self[word]` carries D^L, so a sum of them
         is D^L times its value at the point."""
-        bases = [g for g in chart.source.generators if g.degree == degree]
-        diffs = [chart.source.diff[g].terms for g in bases]
+        bases = [g for g in self._source.generators if g.degree == degree]
+        diffs = [self._source.diff[g].terms for g in bases]
         longest = max((len(word) for terms in diffs for word in terms), default=0)
         d = self.scale
-        if d == 1:
-            return longest, [(g, terms.items()) for g, terms in zip(bases, diffs)]
         return longest, [
             (g, [(word, c * d ** (longest - len(word))) for word, c in terms.items()])
             for g, terms in zip(bases, diffs)
@@ -127,7 +124,7 @@ def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
     block."""
     product = WordProducts(chart, pt)
     value = {}
-    for base, terms in product.weighted_terms(chart, -1)[1]:
+    for base, terms in product.weighted_terms(-1)[1]:
         for word, c in terms:
             for gens, row in zip(chart.blocks[base.name], product[word]):
                 for g, x in zip(gens, row):
@@ -151,7 +148,7 @@ def krylov_dimension_profile(pt: MatrixPoint) -> list:
     unscaled one and the profile is the same."""
     _, matrices = pt.integer_scale
     d = lcm(*(x.denominator for x in pt.vector))
-    vector = pt.vector if d == 1 else _cleared([pt.vector], d)[0]
+    vector = _cleared([pt.vector], d)[0]
     span: list = []
     dims = []
     candidates = [vector]

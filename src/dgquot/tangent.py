@@ -69,7 +69,7 @@ class TangentComplex:
 
 
 def _divided(mat, e: int) -> linalg.Matrix:
-    return mat if e == 1 else tuple(tuple(_coeff(Fraction(x, e)) for x in row) for row in mat)
+    return tuple(tuple(_coeff(Fraction(x, e)) for x in row) for row in mat)
 
 
 @dataclass
@@ -105,7 +105,7 @@ def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: in
     n = chart.n
     col = {g: i for i, g in enumerate(columns)}
     rows = {}
-    longest, weighted = product.weighted_terms(chart, degree)
+    longest, weighted = product.weighted_terms(degree)
     for base, terms in weighted:
         block = [[[0] * len(columns) for _ in range(n)] for _ in range(n)]
         for word, c in terms:

@@ -29,6 +29,7 @@ from dgquot.serialize import load_manifest
 from dgquot.tangent import detect_reduced_support
 from tests.conftest import CORPUS_SPECS
 from tests.test_algebra import linear_part_reference
+from tests.test_derham import _scalar_types_follow_one_rule
 from tests.test_points import classical_reference, rand_invertible
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -169,6 +170,18 @@ def test_rational_relation_coefficients_stay_exact():
     off = MatrixPoint(([[F(3, 10), 0], [0, 0]], [[F(2, 5), 0], [0, 0]], [[F(1, 2), 0], [0, F(1, 2)]]), (1, 1))
     ok, witness = is_classical_point(off, chart)
     assert not ok and (ok, witness) == classical_reference(off, matricize(build_resolution(src), 2))
+
+
+def test_rational_relation_coefficients_give_ints_where_integral_at_an_integer_point():
+    # at D = 1 the 1/2 of the relation meets the point's 2, so some entries of
+    # d0 are integral
+    src = AlgebraInput.from_strings(["x", "y"], ["1/2*x^2 - y"])
+    chart = matricize(build_resolution(src), 2)
+    pt = diag_point([(0, 0), (2, 2)], src.relations, src.var_gens)
+    t = tangent_complex_at(chart, pt)
+    assert (t.d0, t.d1) == symbolic_tangent_reference(chart, pt)
+    assert any(type(x) is int and x not in (0, 1, -1) for row in t.d0 for x in row)
+    assert _scalar_types_follow_one_rule(t.d0, t.d1)
 
 
 @pytest.mark.extended
