@@ -172,10 +172,6 @@ def mono_internal_degree(m: Monomial) -> int:
     return sum(g.degree * e for g, e in m)
 
 
-def mono_form_degree(m: Monomial) -> int:
-    return sum(e for g, e in m if g.dform)
-
-
 def mono_grade(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -195,12 +191,12 @@ def _coeff(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _homogeneous(degs: set, what: str):
+def _homogeneous(degs: set):
     """The single degree in degs, None when empty; raise when mixed."""
     if not degs:
         return None
     if len(degs) > 1:
-        raise StructureError(f"inhomogeneous {what} degrees {sorted(degs)}")
+        raise StructureError(f"inhomogeneous internal degrees {sorted(degs)}")
     return degs.pop()
 
 
@@ -269,10 +265,6 @@ class _TermMap:
         return self.terms == other.terms
 
     __hash__ = None
-
-    def normalize(self):
-        """Rebuild the canonical form (idempotent by construction)."""
-        return type(self)(self.terms)
 
     def constant(self) -> Scalar:
         """The value of a constant polynomial."""
@@ -398,10 +390,7 @@ class GradedPoly(_TermMap):
 
     def internal_degree(self):
         """Internal degree if homogeneous, else raise."""
-        return _homogeneous({mono_internal_degree(m) for m in self.terms}, "internal")
-
-    def form_degree(self):
-        return _homogeneous({mono_form_degree(m) for m in self.terms}, "form")
+        return _homogeneous({mono_internal_degree(m) for m in self.terms})
 
     # -- products ----------------------------------------------------------
     def __mul__(self, other):
@@ -491,11 +480,8 @@ class NCPoly(_TermMap):
             return NCPoly.zero()
         return NCPoly({tuple(letters): c}, _raw=True)
 
-    def generators(self) -> set:
-        return {g for w in self.terms for g in w}
-
     def internal_degree(self):
-        return _homogeneous({sum(g.degree for g in w) for w in self.terms}, "internal")
+        return _homogeneous({sum(g.degree for g in w) for w in self.terms})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -24,9 +24,7 @@ images built so far.  The de Rham images are cheap and built eagerly.
 phi and omega0 are built once per DeRhamAlgebra and kept on it, so every
 task that reads the quintic form on one chart (form-check, pair,
 selfcheck) shares one phi and one omega, and both are freed with the
-algebra.  `omega0(dr)` builds phi through `build_phi` on its first call;
-`omega0(dr, phi)` with an explicit phi computes d_dR of that phi and
-leaves the memo alone.
+algebra.  `omega0(dr)` builds phi through `build_phi` on its first call.
 
 Contraction convention: interior products act as odd left derivations
 (iota(ab) = iota(a) b + (-1)^|a| a iota(b)) that kill plain generators.
@@ -177,15 +175,9 @@ def build_phi(dr: DeRhamAlgebra) -> GradedPoly:
     return phi
 
 
-def omega0(dr: DeRhamAlgebra, phi: Optional[GradedPoly] = None) -> GradedPoly:
-    """The candidate 2-form d_dR(phi).
-
-    Without phi it is omega of the quintic chart, built on the first call
-    from `build_phi(dr)` and then kept on dr.  An explicit phi bypasses the
-    memo: its d_dR is computed and nothing is stored.
-    """
-    if phi is not None:
-        return dr.ddr(phi)
+def omega0(dr: DeRhamAlgebra) -> GradedPoly:
+    """The candidate 2-form d_dR(phi) of the quintic chart, built on the
+    first call from `build_phi(dr)` and then kept on dr."""
     if "omega" not in dr._forms:
         dr._forms["omega"] = dr.ddr(build_phi(dr))
     return dr._forms["omega"]

@@ -104,7 +104,7 @@ class WordProducts(dict):
         generators g of `degree`, L the longest word of their differentials.
         Each weighted term times `self[word]` carries D^L, so a sum of them
         is D^L times its value at the point."""
-        bases = [g for g in self._source.generators if g.degree == degree]
+        bases = self._source.generators_of_degree(degree)
         diffs = [self._source.diff[g].terms for g in bases]
         longest = max((len(word) for terms in diffs for word in terms), default=0)
         d = self.scale

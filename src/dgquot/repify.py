@@ -17,15 +17,19 @@ closure) never pay for the rest, chiefly the degree -2 correction blocks
 t[x_j,l].  `in`, `get`, `len`, iteration and the views see only the entries
 built so far, so a reader of the whole chart (d^2 checks, serialization)
 walks `chart.generators`.
+
+A chart is a `resolution.Presentation`, as the free resolution is, so it
+shares `d` and the one d^2 check: `check_chart_d_squared` is `check_d_squared`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, mono_mul
+from .algebra import GenSym, GradedPoly, NCPoly, mono_mul
 from .errors import StructureError
-from .resolution import DSquaredReport, FreePresentation
+from .resolution import FreePresentation, Presentation, check_d_squared
 
 KIND_ENTRY = "matrix-entry"
 KIND_FRAMING = "framing"
@@ -84,7 +88,7 @@ def _add_products(acc: dict, terms: dict, factor) -> None:
 
 
 @dataclass
-class ChartPresentation:
+class ChartPresentation(Presentation):
     """Commutative presentation of the framed rank-n representation chart."""
 
     source: FreePresentation
@@ -94,17 +98,11 @@ class ChartPresentation:
     # GenSym -> GradedPoly, a memo determined by the fields above
     diff: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def generators(self) -> tuple:
         out = [g for block in self.blocks.values() for row in block for g in row]
         out.extend(self.framing)
         return tuple(sorted(out))
-
-    def generators_of_degree(self, degree: int) -> tuple:
-        return tuple(g for g in self.generators if g.degree == degree)
-
-    def d(self, p: GradedPoly) -> GradedPoly:
-        return extend_derivation(self.diff, p, 1)
 
 
 class _ChartDiff(dict):
@@ -162,9 +160,4 @@ def h0_ideal(chart: ChartPresentation) -> list:
     return [chart.diff[g] for g in chart.generators_of_degree(-1)]
 
 
-def check_chart_d_squared(chart: ChartPresentation):
-    """(generator name, d(d(g))) for every entry generator; all must vanish."""
-    entries = []
-    for g in chart.generators:
-        entries.append((g.name, chart.d(chart.diff[g])))
-    return DSquaredReport(tuple(entries))
+check_chart_d_squared = check_d_squared

@@ -24,11 +24,15 @@ family is the whole minimal resolution when m <= 1 - TRUNCATION_DEGREE.
 The t-differential carries a minus sign on the correction term: that is the
 unique choice closing d^2 = 0 under the orientation d(a[i,j]) = [x_i, x_j],
 and check_d_squared verifies it on every input.
+
+The resolution and its rank-n charts (`repify.ChartPresentation`) share
+`Presentation`: a generator table built once, `d`, and one d^2 check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -36,7 +40,6 @@ from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, graded_commu
 from .errors import StructureError
 from .parser import parse_poly, variable_gens
 
-KIND_VARIABLE = "variable"
 KIND_COMMUTATOR = "commutator"
 KIND_SYZYGY = "relation-syzygy"
 KIND_JACOBI = "jacobi"
@@ -80,8 +83,19 @@ class AlgebraInput:
         return variable_gens(self.variables)
 
 
+class Presentation:
+    """A generator table `generators`, sorted and fixed at construction, and
+    a differential `diff` from each generator to its image."""
+
+    def generators_of_degree(self, degree: int) -> tuple:
+        return tuple(g for g in self.generators if g.degree == degree)
+
+    def d(self, p):
+        return extend_derivation(self.diff, p, 1)
+
+
 @dataclass
-class FreePresentation:
+class FreePresentation(Presentation):
     """Generator table and differential of the truncated resolution."""
 
     source: AlgebraInput
@@ -94,13 +108,10 @@ class FreePresentation:
 
     truncation_degree = TRUNCATION_DEGREE  # unannotated: a class constant, not a field
 
-    @property
+    @cached_property
     def generators(self) -> tuple:
         out = [*self.variables, *self.koszul.values(), *self.syzygies, *self.corrections.values()]
         return tuple(sorted(out))
-
-    def d(self, p: NCPoly) -> NCPoly:
-        return extend_derivation(self.diff, p, 1)
 
     def oriented_commutator(self, i: int, j: int) -> NCPoly:
         """A(i, j): the degree -1 element with d = [x_i, x_j]."""
@@ -223,8 +234,6 @@ class DSquaredReport:
         return [(name, p) for name, p in self.entries if not p.is_zero()]
 
 
-def check_d_squared(pres: FreePresentation) -> DSquaredReport:
-    entries = []
-    for g in pres.generators:
-        entries.append((g.name, pres.d(pres.diff[g])))
-    return DSquaredReport(tuple(entries))
+def check_d_squared(pres: Presentation) -> DSquaredReport:
+    """(name, d(d(g))) for every generator g of a free or chart presentation."""
+    return DSquaredReport(tuple((g.name, pres.d(pres.diff[g])) for g in pres.generators))

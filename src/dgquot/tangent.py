@@ -81,9 +81,6 @@ class CohomologyReport:
     ranks: tuple  # (rank d0, rank d1)
     h2_exact: bool  # True when the truncation provably has no missing generators
 
-    def as_tuple(self):
-        return (self.h0, self.h1, self.h2_upper)
-
 
 def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComplex:
     ok, witness = is_classical_point(pt, chart)

@@ -136,7 +136,7 @@ def test_criterion_4_tangent_vs_oracle(corpus, presentations):
     origin = MatrixPoint(([[0]], [[0]], [[0]]), (F(1),))
     rep = chart_cohomology(chart1, origin)
     ext = koszul_ext_oracle(3, 1)
-    ok = ok and rep.as_tuple() == (4, 3, 1) and ext == (3, 3, 1)
+    ok = ok and (rep.h0, rep.h1, rep.h2_upper) == (4, 3, 1) and ext == (3, 3, 1)
     ok = ok and rep.h0 == 1 + ext[0] and rep.h1 == ext[1]
     ok = ok and rep.h2_exact and rep.h2_upper == ext[2]
     q = quot_tangent_check(chart1, origin)
@@ -147,7 +147,7 @@ def test_criterion_4_tangent_vs_oracle(corpus, presentations):
     two = diag_point([(0, 0, 0), (1, 2, 3)], src3.relations, src3.var_gens)
     rep2 = chart_cohomology(chart2, two)
     ext2 = koszul_ext_oracle(3, 2)
-    ok = ok and rep2.as_tuple() == (10, 6, 2) and ext2 == (6, 6, 2)
+    ok = ok and (rep2.h0, rep2.h1, rep2.h2_upper) == (10, 6, 2) and ext2 == (6, 6, 2)
     ok = ok and rep2.h0 == 4 + ext2[0] and rep2.h1 == ext2[1] and rep2.h2_upper == ext2[2]
     ok = ok and quot_tangent_check(chart2, two).ok
 
@@ -156,7 +156,7 @@ def test_criterion_4_tangent_vs_oracle(corpus, presentations):
     pt = MatrixPoint(([[7]],), (F(1),))
     repx = chart_cohomology(chartx, pt)
     extx = koszul_ext_oracle(1, 1)
-    ok = ok and repx.as_tuple() == (2, 0, 0) and extx == (1, 0, 0)
+    ok = ok and (repx.h0, repx.h1, repx.h2_upper) == (2, 0, 0) and extx == (1, 0, 0)
     ok = ok and repx.h0 == 1 + extx[0]
     ok = ok and quot_tangent_check(chartx, pt).ok
 

@@ -107,9 +107,9 @@ def test_canonical_form_idempotent():
     rng = random.Random(1)
     for _ in range(300):
         p = random_poly(rng)
-        q = p.normalize()
+        q = type(p)(p.terms)
         assert q == p
-        assert q.normalize() == q
+        assert type(q)(q.terms) == q
 
 
 def test_mul_associative_and_graded_commutative():

@@ -21,7 +21,7 @@ from dgquot import (
 )
 from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
-from dgquot import algebra, linalg, repify
+from dgquot import algebra, cli, linalg, repify, resolution
 from tests.test_algebra import tuple_key
 
 
@@ -200,6 +200,19 @@ def test_fermat_syzygy_differential_is_power_sum(charts):
     for mu in range(2):
         for nu in range(2):
             assert chart.diff[chart.blocks[s.name][mu][nu]] == total[mu][nu]
+
+
+@pytest.mark.parametrize("name", ["fermat", "k[x,y,z]", "sphere"])
+def test_free_and_chart_presentations_share_one_interface(presentations, name):
+    pres = presentations[name]
+    for p in (pres, *(matricize(pres, n) for n in (1, 2, 3))):
+        gens = p.generators
+        assert p.generators is gens and list(gens) == sorted(gens)
+        slices = [p.generators_of_degree(k) for k in (0, -1, -2)]
+        assert slices == [tuple(g for g in gens if g.degree == k) for k in (0, -1, -2)]
+        assert sum(slices, ()) == gens
+    assert repify.check_chart_d_squared is resolution.check_d_squared
+    assert cli.check_chart_d_squared is cli.check_d_squared is check_chart_d_squared
 
 
 def test_chart_d_squared_ranks_1_2(charts):
