@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 from functools import cached_property, partial
 
 from .algebra import GradedPoly
@@ -170,12 +171,10 @@ def _task_form_check(pipe: _Pipeline) -> dict:
         "n": pipe.chart().n,
         "phi_monomials": len(phi.terms),
         "omega0_monomials": len(om.terms),
-        "dint_omega0_zero": rep.dint_residual.is_zero(),
-        "ddr_omega0_zero": rep.ddr_residual.is_zero(),
+        **{f"{key}_omega0_zero": residual.is_zero() for key, residual in rep.items()},
     }
-    for key, residual in (("dint", rep.dint_residual), ("ddr", rep.ddr_residual)):
-        if residual:
-            result[f"{key}_omega0_residual"] = _leading_terms(residual)
+    for key, residual in rep.failures():
+        result[f"{key}_omega0_residual"] = _leading_terms(residual)
     return result
 
 
@@ -300,18 +299,20 @@ def main(argv=None) -> int:
         tasks = manifest.tasks if args.command == "run" else [args.command]
         if not tasks:
             raise DgquotError("manifest has no tasks; pass a subcommand instead of 'run'")
-        report = run(manifest, tasks, command=args.command)
+        # an unwritable --out is a usage error too: open it before any task runs
+        try:
+            out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        except OSError as exc:
+            raise DgquotError(f"cannot write report: {exc}") from None
     except DgquotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_canonical(report.to_json(), fh.write)
-    for result in report.results:
-        print(f"{result['task']}: {result['status']}")
-    if not args.out:
-        write_canonical(report.to_json(), sys.stdout.write)
+    with out as fh:
+        report = run(manifest, tasks, command=args.command)
+        for result in report.results:
+            print(f"{result['task']}: {result['status']}")
+        write_canonical(report.to_json(), fh.write)
     return 0 if report.ok else 1
 
 

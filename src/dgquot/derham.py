@@ -9,10 +9,10 @@ potential Phi, in the coordinates x, their de Rham symbols d(x) and the
 commutator generators a[p,q], to its n x n image, and phi is the sum of
 the diagonal.  omega0 = d_dR(phi) is the candidate (-1)-shifted 2-form, and
 the closure, pairing and invariance probes below are exact symbolic
-computations.  Phi's coefficients are thirds; the image is taken of the
-integer potential 3*Phi and the trace divided by 3 once, and the
-derivations clear phi's and omega's thirds the same way, so every product
-on the way runs on ints.
+computations; closure and invariance return `resolution.Residuals`.  Phi's
+coefficients are thirds; the image is taken of the integer potential 3*Phi
+and the trace divided by 3 once, and the derivations clear phi's and
+omega's thirds the same way, so every product on the way runs on ints.
 
 The internal-differential images are a memo built on demand: the image of
 g (its chart differential, itself built block by block) or of d(g) (that
@@ -38,7 +38,6 @@ degree -1), d(x) is the one odd factor before d(u), so iota(d(u)) = 1 gives
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import linalg
 from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
@@ -46,6 +45,7 @@ from .errors import NotClassicalError, StructureError
 from .parser import parse_poly
 from .points import MatrixPoint, chart_assignment, is_classical_point
 from .repify import ChartPresentation, matrix_image
+from .resolution import Residuals
 
 
 class DeRhamAlgebra:
@@ -183,20 +183,9 @@ def omega0(dr: DeRhamAlgebra) -> GradedPoly:
     return dr._forms["omega"]
 
 
-@dataclass
-class CloseCheckReport:
-    dint_residual: GradedPoly
-    ddr_residual: GradedPoly
-
-    @property
-    def ok(self) -> bool:
-        return self.dint_residual.is_zero() and self.ddr_residual.is_zero()
-
-
-def close_check(dr: DeRhamAlgebra, omega: Optional[GradedPoly] = None) -> CloseCheckReport:
-    if omega is None:
-        omega = omega0(dr)
-    return CloseCheckReport(dr.dint(omega), dr.ddr(omega))
+def close_check(dr: DeRhamAlgebra, omega: GradedPoly) -> Residuals:
+    """d_int and d_dR of omega, labelled "dint" and "ddr"; zero means closed."""
+    return Residuals(dint=dr.dint(omega), ddr=dr.ddr(omega))
 
 
 @dataclass
@@ -237,15 +226,6 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     return PairingReport(rows, cols, mat, linalg.rank(mat))
 
 
-@dataclass
-class InvarianceReport:
-    lie_residual: GradedPoly
-
-    @property
-    def ok(self) -> bool:
-        return self.lie_residual.is_zero()
-
-
 def conjugation_field(dr: DeRhamAlgebra, xi) -> dict:
     """Values of the infinitesimal conjugation vector field on generators:
     matrix blocks move by [xi, -], the framing by xi itself."""
@@ -276,11 +256,11 @@ def conjugation_field(dr: DeRhamAlgebra, xi) -> dict:
     return values
 
 
-def invariance_check(dr: DeRhamAlgebra, omega: GradedPoly, xi) -> InvarianceReport:
+def invariance_check(dr: DeRhamAlgebra, omega: GradedPoly, xi) -> Residuals:
     """Lie derivative along infinitesimal conjugation via the Cartan
-    formula L = iota d_dR + d_dR iota; zero means the form descends."""
+    formula L = iota d_dR + d_dR iota, labelled "lie"; zero means omega descends."""
     field = conjugation_field(dr, xi)
     iota_images = dr.contraction(field)
     contracted = extend_derivation(iota_images, omega, 1)
     lie = dr.ddr(contracted) + extend_derivation(iota_images, dr.ddr(omega), 1)
-    return InvarianceReport(lie)
+    return Residuals(lie=lie)

@@ -26,14 +26,15 @@ unique choice closing d^2 = 0 under the orientation d(a[i,j]) = [x_i, x_j],
 and check_d_squared verifies it on every input.
 
 The resolution and its rank-n charts (`repify.ChartPresentation`) share
-`Presentation`: a generator table built once, `d`, and one d^2 check.
+`Presentation`: a generator table built once, `d`, and one d^2 check.  The
+check returns `Residuals`, as do closure and invariance in `derham`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Optional, Sequence
 
 from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, graded_commutator
@@ -87,8 +88,13 @@ class Presentation:
     """A generator table `generators`, sorted and fixed at construction, and
     a differential `diff` from each generator to its image."""
 
+    @cached_property
+    def _by_degree(self) -> dict:
+        # `generators` is sorted by degree, so each degree is one run
+        return {k: tuple(run) for k, run in groupby(self.generators, key=lambda g: g.degree)}
+
     def generators_of_degree(self, degree: int) -> tuple:
-        return tuple(g for g in self.generators if g.degree == degree)
+        return self._by_degree.get(degree, ())
 
     def d(self, p):
         return extend_derivation(self.diff, p, 1)
@@ -220,20 +226,18 @@ def build_resolution(source: AlgebraInput, ordering: Optional[Sequence[str]] = N
     return pres
 
 
-@dataclass
-class DSquaredReport:
-    """Per-generator d(d(g)) values; success iff all are zero."""
-
-    entries: tuple  # (generator name, NCPoly or GradedPoly)
+class Residuals(dict):
+    """An exact check's result: each label it checked, in order, mapped to
+    the residual there.  The check holds when every residual is zero."""
 
     @property
     def ok(self) -> bool:
-        return all(p.is_zero() for _, p in self.entries)
+        return not any(self.values())
 
     def failures(self) -> list:
-        return [(name, p) for name, p in self.entries if not p.is_zero()]
+        return [(label, p) for label, p in self.items() if p]
 
 
-def check_d_squared(pres: Presentation) -> DSquaredReport:
-    """(name, d(d(g))) for every generator g of a free or chart presentation."""
-    return DSquaredReport(tuple((g.name, pres.d(pres.diff[g])) for g in pres.generators))
+def check_d_squared(pres: Presentation) -> Residuals:
+    """Each generator's name mapped to d(d(g)), for a free or chart presentation."""
+    return Residuals((g.name, pres.d(pres.diff[g])) for g in pres.generators)

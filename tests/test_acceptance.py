@@ -170,9 +170,9 @@ def test_criterion_5_closure(fermat_presentation):
     for n in ranks:
         dr = DeRhamAlgebra(matricize(fermat_presentation, n))
         t0 = time.perf_counter()
-        rep = close_check(dr)
+        rep = close_check(dr, omega0(dr))
         times.append(f"n={n}: {time.perf_counter() - t0:.2f}s")
-        ok = ok and rep.dint_residual.is_zero() and rep.ddr_residual.is_zero()
+        ok = ok and rep["dint"].is_zero() and rep["ddr"].is_zero()
     verdict(5, "shifted-form closure d(omega0) = 0", ok, ", ".join(times))
 
 

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from dgquot import AlgebraInput, DgquotError, StructureError, build_resolution, matricize
+from dgquot import AlgebraInput, DgquotError, GradedPoly, StructureError, build_resolution, matricize
 from dgquot import cli, derham, points, tangent
 from dgquot.cli import main, run
 from dgquot.derham import close_check, pairing_at
 from dgquot.repify import matrix_image
-from dgquot.resolution import DSquaredReport
+from dgquot.resolution import Residuals
 from dgquot.serialize import (
     TASKS,
     chart_presentation_json,
@@ -212,6 +212,17 @@ def test_main_rejects_non_utf8_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: manifest is not UTF-8")
 
 
+def test_main_rejects_an_unwritable_out_path_before_any_task(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "absent" / "r.json"
+    assert main(["h0", "--manifest", str(MANIFESTS / "fermat_n1.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot write report: ")
+    assert "Traceback" not in captured.err
+    assert calls == [] and not out.exists()
+
+
 def test_main_failing_task_exits_nonzero(tmp_path):
     manifest = {
         "variables": ["x", "y"],
@@ -309,7 +320,7 @@ def test_form_tasks_build_the_quintic_form_once_per_rank(monkeypatch):
 def test_selfcheck_checks_closure_at_every_chart_rank(monkeypatch):
     # about 7 s, most of it the de Rham axioms on the rank-3 chart; chart d^2
     # is stubbed, since test_criterion_1_d_squared checks it at rank 3
-    monkeypatch.setattr(cli, "check_chart_d_squared", lambda chart: DSquaredReport(()))
+    monkeypatch.setattr(cli, "check_chart_d_squared", lambda chart: Residuals())
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     manifest.n, manifest.points = 3, []
     checks = run(manifest, ["selfcheck"], command="selfcheck").results[0]["checks"]
@@ -433,3 +444,19 @@ def test_failed_checks_show_leading_residual_terms():
         result = task(cli._Pipeline(load_manifest(str(MANIFESTS / "fermat_n1.json"))))
         assert result["status"] == "pass"
         assert not {"residuals", "dint_omega0_residual", "ddr_omega0_residual"} & set(result)
+
+
+def test_form_check_on_a_form_that_is_not_closed(monkeypatch):
+    # exactly the failing residuals read false and show their leading terms
+    pipe = cli._Pipeline(load_manifest(str(MANIFESTS / "fermat_n1.json")))
+    dr = pipe.derham()
+    x, y = dr.chart.blocks["x"][0][0], dr.chart.blocks["y"][0][0]
+    not_closed = derham.omega0(dr) + GradedPoly.monomial([(x, 1), (dr.delta[y], 1)], 1)
+    monkeypatch.setattr(cli, "omega0", lambda dr: not_closed)
+    result = cli._task_form_check(pipe)
+    failing = [key for key, _ in close_check(dr, not_closed).failures()]
+    assert result["status"] == "fail" and failing == ["ddr"]
+    for key in ("dint", "ddr"):
+        assert result[f"{key}_omega0_zero"] is (key not in failing)
+        assert (f"{key}_omega0_residual" in result) is (key in failing)
+    assert 1 <= len(result["ddr_omega0_residual"]) <= 3

@@ -15,6 +15,7 @@ from dgquot import (
     build_phi,
     build_resolution,
     check_chart_d_squared,
+    check_d_squared,
     close_check,
     diag_point,
     gl_action,
@@ -29,6 +30,7 @@ from dgquot import derham
 from dgquot.algebra import extend_derivation, poly_sum
 from dgquot.linalg import as_matrix, rank
 from dgquot.points import chart_assignment
+from dgquot.resolution import Residuals
 from tests.test_points import rand_invertible
 from tests.test_repify import CDGAMatrix
 
@@ -155,7 +157,7 @@ def test_phi_and_omega_keep_exact_thirds(fermat_dr1, fermat_dr2):
             assert {type(c) for c in coeffs} <= {int, F}
             assert any(type(c) is F and c.denominator != 1 for c in coeffs)
         rep = close_check(dr, om)
-        assert rep.dint_residual.is_zero() and rep.ddr_residual.is_zero()
+        assert rep["dint"].is_zero() and rep["ddr"].is_zero()
 
 
 def test_phi_omega_and_derivations_hold_no_integral_fraction(fermat_dr1, fermat_dr2):
@@ -226,14 +228,14 @@ def test_omega0_bidegree(fermat_dr1):
 
 
 def test_closure_rank_1(fermat_dr1):
-    rep = close_check(fermat_dr1)
-    assert rep.dint_residual.is_zero()
-    assert rep.ddr_residual.is_zero()
+    rep = close_check(fermat_dr1, omega0(fermat_dr1))
+    assert rep["dint"].is_zero()
+    assert rep["ddr"].is_zero()
     assert rep.ok
 
 
 def test_closure_rank_2(fermat_dr2):
-    rep = close_check(fermat_dr2)
+    rep = close_check(fermat_dr2, omega0(fermat_dr2))
     assert rep.ok
 
 
@@ -243,7 +245,7 @@ def test_closure_rank_3(fermat_presentation):
 
     dr = DeRhamAlgebra(matricize(fermat_presentation, 3))
     t0 = time.perf_counter()
-    rep = close_check(dr)
+    rep = close_check(dr, omega0(dr))
     elapsed = time.perf_counter() - t0
     print(f"rank-3 closure check: {elapsed:.2f}s")
     assert rep.ok
@@ -251,13 +253,35 @@ def test_closure_rank_3(fermat_presentation):
 
 @pytest.mark.parametrize("n", [4, pytest.param(5, marks=pytest.mark.extended)])
 def test_closure_higher_rank(fermat_presentation, n):
-    assert close_check(DeRhamAlgebra(matricize(fermat_presentation, n))).ok
+    dr = DeRhamAlgebra(matricize(fermat_presentation, n))
+    assert close_check(dr, omega0(dr)).ok
+
+
+def test_every_exact_check_returns_one_residuals_map(fermat_presentation, fermat_dr1):
+    # labels: generator names in generator order, "dint" and "ddr", "lie"
+    om = omega0(fermat_dr1)
+    chart = matricize(fermat_presentation, 1)
+    for pres in (fermat_presentation, chart):
+        rep = check_d_squared(pres)
+        assert type(rep) is Residuals and list(rep) == [g.name for g in pres.generators]
+        assert rep.ok and rep.failures() == []
+    rep = close_check(fermat_dr1, om)
+    assert type(rep) is Residuals and list(rep) == ["dint", "ddr"] and rep.ok
+    rep = invariance_check(fermat_dr1, om, [[1]])
+    assert type(rep) is Residuals and list(rep) == ["lie"] and rep.ok
+    assert Residuals().ok and Residuals().failures() == []
+    # a mutated chart entry of degree -2 fails its own d^2, and only that
+    g = chart.generators_of_degree(-2)[-1]
+    u = next(h for h in chart.generators_of_degree(-1) if chart.diff[h])
+    chart.diff[g] = chart.diff[g] + GradedPoly.gen(u)
+    rep = check_d_squared(chart)
+    assert not rep.ok and rep.failures() == [(g.name, chart.diff[u])]
 
 
 def test_closure_builds_no_correction_block(fermat_presentation):
     chart = matricize(fermat_presentation, 3)
     dr = DeRhamAlgebra(chart)
-    assert close_check(dr).ok
+    assert close_check(dr, omega0(dr)).ok
     built = set(dict.keys(chart.diff))  # the memo itself, without forcing it
     corrections = fermat_presentation.corrections.values()
     assert not {g for t in corrections for row in chart.blocks[t.name] for g in row} & built
@@ -272,7 +296,7 @@ def test_chart_and_derham_are_freed_by_reference_counting(fermat_presentation):
     try:
         chart = matricize(fermat_presentation, 2)
         dr = DeRhamAlgebra(chart)
-        assert close_check(dr).ok
+        assert close_check(dr, omega0(dr)).ok
         assert check_chart_d_squared(chart).ok
         images = [dr._dint_images[h] for g in chart.generators for h in (g, dr.delta[g])]
         assert len(dr._dint_images) == len(images) == 2 * len(chart.generators)

@@ -211,6 +211,9 @@ def test_free_and_chart_presentations_share_one_interface(presentations, name):
         slices = [p.generators_of_degree(k) for k in (0, -1, -2)]
         assert slices == [tuple(g for g in gens if g.degree == k) for k in (0, -1, -2)]
         assert sum(slices, ()) == gens
+        # each slice is built once, and a degree with no generators is empty
+        assert all(p.generators_of_degree(k) is slice_ for k, slice_ in zip((0, -1, -2), slices))
+        assert p.generators_of_degree(-3) == ()
     assert repify.check_chart_d_squared is resolution.check_d_squared
     assert cli.check_chart_d_squared is cli.check_d_squared is check_chart_d_squared
 
