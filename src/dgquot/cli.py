@@ -28,7 +28,7 @@ from .derham import (
     pairing_at,
 )
 from .errors import DgquotError, NotClassicalError, StructureError
-from .points import is_classical_point, is_stable, matrices_satisfy
+from .points import PointTests, is_classical_point, is_stable, matrices_satisfy
 from .repify import check_chart_d_squared, h0_ideal, matricize
 from .resolution import AlgebraInput, build_resolution, check_d_squared
 from .serialize import (
@@ -47,12 +47,20 @@ from .tangent import chart_cohomology  # noqa: F401
 
 
 class _Pipeline:
-    """Shared lazily-built objects for one manifest."""
+    """Shared lazily-built objects for one manifest.  Each manifest point
+    gets one `PointTests` on the manifest's chart, so every task that reads
+    a point's classical verdict or stability shares one run of each test;
+    they die with the pipeline.  The tests keep a point's word products,
+    until the tangent complex takes them, only with `keep_products`: `run`
+    sets it when the tangent task, their one later reader, is among its
+    tasks."""
 
-    def __init__(self, manifest: Manifest):
+    def __init__(self, manifest: Manifest, keep_products: bool = True):
         self.manifest = manifest
+        self._keep_products = keep_products
         self._charts = {}
         self._derham = {}
+        self._point_tests = {}
 
     @cached_property
     def source(self) -> AlgebraInput:
@@ -73,6 +81,16 @@ class _Pipeline:
         if n not in self._derham:
             self._derham[n] = DeRhamAlgebra(self.chart(n))
         return self._derham[n]
+
+    def point_tests(self, k: int) -> PointTests:
+        """The tests at manifest point k, through this module's names of
+        `is_classical_point` and `is_stable`."""
+        if k not in self._point_tests:
+            pt = self.manifest.points[k]
+            self._point_tests[k] = PointTests(
+                self.chart(), pt, is_classical_point, is_stable, self._keep_products
+            )
+        return self._point_tests[k]
 
 
 _WITNESS_TERMS = 3  # leading terms of a nonzero residual shown in a report
@@ -117,14 +135,14 @@ def _task_h0(pipe: _Pipeline) -> dict:
 
 
 def _per_point(pipe: _Pipeline, row) -> dict:
-    """A per-point task's result, from `row(chart, pt) -> (fields, passed)`
-    at each manifest point."""
+    """A per-point task's result, from `row(chart, tests) -> (fields,
+    passed)` at each manifest point, `tests` its `PointTests`."""
     chart = pipe.chart()
     rows = []
     ok = True
-    for k, pt in enumerate(pipe.manifest.points):
+    for k in range(len(pipe.manifest.points)):
         try:
-            fields, passed = row(chart, pt)
+            fields, passed = row(chart, pipe.point_tests(k))
         except NotClassicalError as exc:
             fields, passed = {"classical": False, "witness": str(exc.witness)}, False
         rows.append({"point": k, **fields})
@@ -134,18 +152,18 @@ def _per_point(pipe: _Pipeline, row) -> dict:
     return {"status": "pass" if ok else "fail", "points": rows}
 
 
-def _stable_row(chart, pt):
-    classical, witness = is_classical_point(pt, chart)
+def _stable_row(chart, tests):
+    classical, witness = tests.verdict
     fields = {
         "classical": classical,
         "witness": None if witness is None else str(witness),
-        "stable": is_stable(pt),
+        "stable": tests.stable,
     }
     return fields, True
 
 
-def _tangent_row(chart, pt):
-    quot = quot_tangent_check(chart, pt)
+def _tangent_row(chart, tests):
+    quot = quot_tangent_check(chart, tests)
     report = quot.cohomology
     fields = {
         "classical": True,
@@ -182,8 +200,8 @@ def _task_pair(pipe: _Pipeline) -> dict:
     dr = pipe.derham()
     om = omega0(dr)
 
-    def pair_row(chart, pt):
-        rep = pairing_at(dr, om, pt)
+    def pair_row(chart, tests):
+        rep = pairing_at(dr, om, tests)
         entries = {}
         for i, rg in enumerate(rep.rows):
             for j, cg in enumerate(rep.cols):
@@ -233,7 +251,7 @@ def _task_selfcheck(pipe: _Pipeline) -> dict:
             )
             checks["form_invariance_n2"] = all(invariance_check(drn, om, xi).ok for xi in units)
     for k, pt in enumerate(pipe.manifest.points):
-        classical, _ = is_classical_point(pt, pipe.chart())
+        classical, _ = pipe.point_tests(k).verdict
         checks[f"point{k}_classical"] = classical
         if classical:
             checks[f"point{k}_oracle_vs_matrices"] = matrices_satisfy(
@@ -255,7 +273,7 @@ _TASKS = {  # name -> (runner, subcommand help)
 
 
 def run(manifest: Manifest, tasks, command: str = "run") -> Report:
-    pipe = _Pipeline(manifest)
+    pipe = _Pipeline(manifest, keep_products="tangent" in tasks)
     report = Report(command=command, input_hash=manifest.input_hash())
     for task in tasks:
         try:

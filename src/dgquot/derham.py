@@ -43,7 +43,7 @@ from . import linalg
 from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, poly_sum
 from .errors import NotClassicalError, StructureError
 from .parser import parse_poly
-from .points import MatrixPoint, chart_assignment, is_classical_point
+from .points import chart_assignment, is_classical_point, is_stable, point_tests
 from .repify import ChartPresentation, matrix_image
 from .resolution import Residuals
 
@@ -196,7 +196,7 @@ class PairingReport:
     rank: int
 
 
-def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> PairingReport:
+def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt) -> PairingReport:
     """Chain-level pairing between degree-0 directions and duals of
     degree -1 generators, evaluated at a classical point.
 
@@ -207,9 +207,14 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     d(u), so iota passes d(x) and picks up the sign -1.  Every other term
     contracts to zero or keeps a negative-degree factor, which the pairing
     drops.
+
+    `pt` is a `MatrixPoint`, tested here, or its `points.PointTests` on
+    `dr.chart`, whose verdict it reads.  Raises NotClassicalError when the
+    point is not classical.
     """
     chart = dr.chart
-    ok, witness = is_classical_point(pt, chart)
+    tests = point_tests(chart, pt, is_classical_point, is_stable)
+    ok, witness = tests.verdict
     if not ok:
         raise NotClassicalError("pairing", witness)
     rows = chart.generators_of_degree(0)
@@ -217,7 +222,7 @@ def pairing_at(dr: DeRhamAlgebra, omega: GradedPoly, pt: MatrixPoint) -> Pairing
     row_index = {dr.delta[g]: i for i, g in enumerate(rows)}
     col_index = {dr.delta[g]: j for j, g in enumerate(cols)}
     matrix = [[0] * len(cols) for _ in rows]
-    for mono, c in omega.evaluate(chart_assignment(chart, pt)).terms.items():
+    for mono, c in omega.evaluate(chart_assignment(chart, tests.point)).terms.items():
         if len(mono) == 2:
             (dx, _), (du, e) = mono
             if e == 1 and dx in row_index and du in col_index:

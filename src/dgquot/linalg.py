@@ -5,9 +5,11 @@ rule, `algebra._coeff`: an int when the value is integral, else a Fraction.
 The constructors and the kernel's one quotient canonicalize through it, and
 int arithmetic stays int, so products and ranks of integer matrices never
 touch Fraction.  Matrices are dense; elimination is sparse.  There is one
-elimination routine, `_echelon`: it turns each row into a {column: int}
-dict cleared of denominators, pivots on the shortest row that reaches each
-column, and changes only the rows with a nonzero in the pivot column, each
+elimination routine, `_echelon`, on {column: int} rows of nonzero
+entries: it takes such rows, as the tangent complex and the Krylov test
+build them, and turns a dense rational row into one on entry, cleared of
+denominators.  It pivots on the shortest row that reaches each column
+and changes only the rows with a nonzero in the pivot column, each
 divided by its content, so entries stay within the Hadamard bound.  `rank`
 counts its pivots, `nullspace` back-substitutes over its sparse rows, and
 `inverse` reads A^-1 off the kernel of [A | -I].  There are no tolerance
@@ -114,15 +116,21 @@ def _clear_row(row) -> list:
 
 
 def _echelon(a) -> tuple:
-    """Integer row echelon form of a rational matrix, on sparse rows.
+    """Integer row echelon form, on sparse rows.
 
-    Each row becomes a {column: int} dict of its nonzero entries, cleared to
-    coprime integers.  Columns are taken left to right.  The rows that reach
-    column c are those whose leading column is c, and the shortest of them
-    is the pivot row (a Markowitz row count), with entry p at c.  Every
-    other row r reaching c, with entry f at c, becomes p*r - f*prow (p and f
-    first divided by their gcd) and is then divided by its content.  Rows
-    that are zero at c do not change.
+    The rows are {column: int} dicts of nonzero entries, as the tangent
+    complex and the Krylov test build them, or dense rational rows, which
+    are cleared of denominators on entry.  Each becomes a new {column:
+    int} dict divided by its content, so the caller's rows never change.
+    A dict row must hold ints (the tangent complex folds denominators into
+    its scale): clearing them here would double the entry's cost on the
+    tangent complex's short rows.  The leading columns of the rows are
+    taken left to right, least first.  The rows that reach column c are
+    those whose leading column is c, and the shortest of them is the pivot
+    row (a Markowitz row count), with entry p at c.  Every other row r
+    reaching c, with entry f at c, becomes p*r - f*prow (p and f first
+    divided by their gcd) and is then divided by its content.  Rows that
+    are zero at c do not change.
 
     Returns the pivot rows (primitive dicts) and their pivot columns: row i
     is zero left of pivots[i], and so is every later row.  The pivot columns
@@ -132,15 +140,20 @@ def _echelon(a) -> tuple:
     the cleared matrix (Cramer's rule): its entries stay within the Hadamard
     bound, as with Bareiss elimination.
     """
-    reach = [[] for _ in range(len(a[0]) if a else 0)]  # rows by leading column
+    reach = {}  # rows by leading column
     for row in a:
-        nonzero = {j: x for j, x in enumerate(row) if x}
-        if nonzero:
-            reach[min(nonzero)].append(dict(zip(nonzero, _clear_row(nonzero.values()))))
+        if isinstance(row, dict):
+            g = gcd(*row.values())
+            row = {j: x // g for j, x in row.items()} if g > 1 else dict(row)
+        else:
+            nonzero = {j: x for j, x in enumerate(row) if x}
+            row = dict(zip(nonzero, _clear_row(nonzero.values())))
+        if row:
+            reach.setdefault(min(row), []).append(row)
     rows, pivots = [], []
-    for col, waiting in enumerate(reach):
-        if not waiting:
-            continue
+    while reach:
+        col = min(reach)
+        waiting = reach.pop(col)
         prow = min(waiting, key=len)
         p = prow[col]
         sign = 1 if p > 0 else -1
@@ -161,7 +174,7 @@ def _echelon(a) -> tuple:
                 g = gcd(*acc.values())
                 if g > 1:
                     acc = {j: x // g for j, x in acc.items()}
-                reach[min(acc)].append(acc)
+                reach.setdefault(min(acc), []).append(acc)
         rows.append(prow)
         pivots.append(col)
     return rows, pivots
@@ -183,7 +196,8 @@ def _kernel(rows, pivots, ncols: int) -> list:
 
 
 def rank(a) -> int:
-    """Exact rank: the number of echelon pivots."""
+    """Exact rank of dense rational rows or sparse {column: int} rows: the
+    number of echelon pivots."""
     return len(_echelon(a)[1])
 
 

@@ -10,6 +10,9 @@ read the point on one integer scale: with D the lcm of the denominators of
 the matrix entries, they run on the integer matrices D X_k
 (`MatrixPoint.integer_scale`), and the Krylov test also clears the
 denominators of the framing vector.
+
+`PointTests` holds the tests at one point of one chart, so that a caller
+that keeps it runs each test once however many routines read it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+import weakref
 from typing import Sequence
 
 from . import linalg
@@ -114,15 +118,17 @@ class WordProducts(dict):
         ]
 
 
-def is_classical_point(pt: MatrixPoint, chart: ChartPresentation):
+def is_classical_point(pt: MatrixPoint, chart: ChartPresentation, product=None):
     """(True, None) if every truncation-ideal polynomial vanishes at pt,
     else (False, first failing polynomial).
 
     Entry (mu, nu) of the block of g is read off sum c * X_{w1}...X_{wk}
     over the words of g's free differential, times D^L on the point's
     integer scale (`WordProducts.weighted_terms`): only a witness builds a
-    block."""
-    product = WordProducts(chart, pt)
+    block.  `product` is the point's `WordProducts`, built here when not
+    given."""
+    if product is None:
+        product = WordProducts(chart, pt)
     value = {}
     for base, terms in product.weighted_terms(-1)[1]:
         for word, c in terms:
@@ -140,10 +146,13 @@ def is_stable(pt: MatrixPoint) -> bool:
 
 def krylov_dimension_profile(pt: MatrixPoint) -> list:
     """Span dimension of the Krylov closure of the framing vector after each
-    round, stopping once the span is full or stops growing.  A candidate
-    joins the spanning list when it raises the exact rank (`linalg.rank`);
-    the next round's candidates are the images of the vectors that joined.
-    It runs on the integer matrices D X_k and the framing vector with its
+    round, stopping once the span is full or stops growing.  Each round runs
+    one echelon (`linalg._echelon`) on the matrix whose columns are the
+    spanning list and then the round's candidates: its pivot columns are the
+    greedy column basis, so they are the independent spanning list first and
+    then exactly the candidates that raise the rank, in order, which join
+    the spanning list.  The next round's candidates are their images.  It
+    runs on the integer matrices D X_k and the framing vector with its
     denominators cleared, so each candidate is a nonzero multiple of the
     unscaled one and the profile is the same."""
     _, matrices = pt.integer_scale
@@ -153,16 +162,59 @@ def krylov_dimension_profile(pt: MatrixPoint) -> list:
     dims = []
     candidates = [vector]
     while candidates:
-        new = []
-        for w in candidates:
-            if linalg.rank(span + [w]) > len(span):
-                span.append(w)
-                new.append(w)
+        columns = span + candidates
+        rows = [{j: v[i] for j, v in enumerate(columns) if v[i]} for i in range(pt.n)]
+        new = [columns[j] for j in linalg._echelon(rows)[1][len(span) :]]
+        span += new
         dims.append(len(span))
         if len(span) == pt.n:
             break
         candidates = [linalg.mat_vec(mat, v) for v in new for mat in matrices]
     return dims
+
+
+class PointTests:
+    """The exact tests at one point of one chart, each run at most once: the
+    classical verdict and witness (`verdict`), the stability (`stable`, run
+    when first read), and the `WordProducts` that the classical test built,
+    which the tangent complex takes (`take_product`).  `classical` and
+    `stable` are the test functions, `is_classical_point` and `is_stable`
+    as the caller's module names them, so that a wrapper put on those names
+    sees each call.  The word products are dropped at once when the point
+    is not classical or `keep_product` is false.  It refers to its chart
+    only weakly, and no point or chart refers to it, so it dies with its
+    caller's reference."""
+
+    def __init__(self, chart: ChartPresentation, pt: MatrixPoint, classical, stable, keep_product=True):
+        self.point = pt
+        self._chart = weakref.ref(chart)
+        product = WordProducts(chart, pt)
+        self.verdict = classical(pt, chart, product)
+        self._product = product if keep_product and self.verdict[0] else None
+        self._stable = stable
+
+    @cached_property
+    def stable(self) -> bool:
+        return self._stable(self.point)
+
+    def take_product(self, chart: ChartPresentation) -> WordProducts:
+        """The point's word products, which the tests then keep no longer:
+        the ones the classical test built, or new ones once those are
+        gone."""
+        product, self._product = self._product, None
+        return WordProducts(chart, self.point) if product is None else product
+
+
+def point_tests(chart: ChartPresentation, pt, classical, stable) -> PointTests:
+    """`pt` itself when it is a `PointTests` built on `chart`, else the
+    tests at the `MatrixPoint` `pt`, run here through `classical` and
+    `stable` (see `PointTests`).  Raises StructureError for a `PointTests`
+    built on another chart."""
+    if not isinstance(pt, PointTests):
+        return PointTests(chart, pt, classical, stable)
+    if pt._chart() is not chart:
+        raise StructureError("the point tests were run on another chart")
+    return pt
 
 
 def diag_point(points: Sequence[Sequence], relations: Sequence[GradedPoly], variables) -> MatrixPoint:

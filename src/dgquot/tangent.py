@@ -14,9 +14,18 @@ The composition check and the ranks are unchanged when a matrix is
 multiplied by a nonzero scalar, so they run on the point's integer scale
 (`MatrixPoint.integer_scale`): with D the lcm of the denominators of the
 point's matrix entries, d0 and d1 are built as the integer matrices
-D^(L-1) d0 and D^(L-1) d1, L the longest word of the differentials in
-their degree, and divided only when `TangentComplex.d0` or `.d1` is read.
-Support detection runs on D X_k.
+e d0 and e d1, e = q D^(L-1), L the longest word of the differentials in
+their degree and q the lcm of the denominators of their coefficients (1
+unless a relation has a non-integer coefficient).  They are built as sparse rows, one {column: int} dict of
+nonzero entries per row generator, and stay sparse: the composition check
+multiplies rows of d1 by rows of d0, and `linalg.rank` eliminates the rows
+as they are.  Only `TangentComplex.d0` and `.d1` densify and divide, when
+read.  Support detection runs on D X_k.
+
+Each routine at a point takes the `MatrixPoint`, and tests it, or its
+`points.PointTests` on the same chart, and reads the verdict and
+stability those hold; the tangent complex takes their word products.  So
+a caller that keeps one per point tests each point once.
 
 The independent oracle gives Ext^i of a distinct-reduced-point ideal in
 affine m-space against the skyscraper quotient in closed form, from the
@@ -29,47 +38,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 from . import linalg
 from .algebra import _coeff
 from .errors import NotClassicalError, StructureError
-from .points import MatrixPoint, WordProducts, is_classical_point, is_stable, matrices_commute
+from .points import MatrixPoint, WordProducts, is_classical_point, is_stable, matrices_commute, point_tests
 from .repify import ChartPresentation
 
 
 @dataclass
 class TangentComplex:
+    """The linearized differentials d0 (degree -1 rows over degree 0
+    columns) and d1 (degree -2 rows over degree -1 columns) at a classical
+    point.  `scaled` holds e0 d0 and e1 d1 as sparse integer rows, one
+    {column index: int} dict of nonzero entries per row generator, which
+    the composition check and the ranks read; `.d0` and `.d1` give the
+    dense rational matrices, built and divided each time they are read."""
+
     basis0: tuple  # degree-0 directions (entries then framing, canonical order)
     basis1: tuple  # duals of degree -1 generators
     basis2: tuple  # duals of degree -2 generators
-    scaled: tuple  # (e0 d0, e1 d1): the matrices the exact tests read
+    scaled: tuple  # (e0 d0, e1 d1) as sparse integer rows
     scales: tuple  # (e0, e1), positive ints
 
     @property
     def d0(self) -> linalg.Matrix:
         """len(basis1) x len(basis0)."""
-        return _divided(self.scaled[0], self.scales[0])
+        return _divided(self.scaled[0], len(self.basis0), self.scales[0])
 
     @property
     def d1(self) -> linalg.Matrix:
         """len(basis2) x len(basis1)."""
-        return _divided(self.scaled[1], self.scales[1])
+        return _divided(self.scaled[1], len(self.basis1), self.scales[1])
 
     @property
     def dims(self):
         return (len(self.basis0), len(self.basis1), len(self.basis2))
 
-    def composition_is_zero(self) -> bool:
-        if not self.basis2 or not self.basis1 or not self.basis0:
-            return True
+    def composition_witness(self):
+        """None when d1 d0 = 0, else (degree -2 row generator, degree 0
+        column generator) of its first nonzero entry: the first row, and
+        the first column in that row."""
         d0, d1 = self.scaled
-        return linalg.is_zero_matrix(linalg.mat_mul(d1, d0))
+        for i, row in enumerate(d1):
+            acc = {}
+            for k, x in row.items():
+                for j, y in d0[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            nonzero = [j for j, v in acc.items() if v]
+            if nonzero:
+                return self.basis2[i], self.basis0[min(nonzero)]
+        return None
+
+    def composition_is_zero(self) -> bool:
+        return self.composition_witness() is None
 
 
-def _divided(mat, e: int) -> linalg.Matrix:
-    return tuple(tuple(_coeff(Fraction(x, e)) for x in row) for row in mat)
+def _divided(rows, ncols: int, e: int) -> linalg.Matrix:
+    return tuple(
+        tuple(_coeff(Fraction(row[j], e)) if j in row else 0 for j in range(ncols)) for row in rows
+    )
 
 
 @dataclass
@@ -82,11 +112,17 @@ class CohomologyReport:
     h2_exact: bool  # True when the truncation provably has no missing generators
 
 
-def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComplex:
-    ok, witness = is_classical_point(pt, chart)
+def tangent_complex_at(chart: ChartPresentation, pt) -> TangentComplex:
+    """The tangent complex at a classical point.  `pt` is a `MatrixPoint`,
+    tested here, or its `points.PointTests` on `chart`, whose verdict it
+    reads and whose word products it takes.  Raises NotClassicalError when
+    the point is not classical, and StructureError for the `PointTests` of
+    another chart."""
+    tests = point_tests(chart, pt, is_classical_point, is_stable)
+    ok, witness = tests.verdict
     if not ok:
         raise NotClassicalError("tangent complex", witness)
-    product = WordProducts(chart, pt)
+    product = tests.take_product(chart)
     basis0, basis1, basis2 = (chart.generators_of_degree(k) for k in (0, -1, -2))
     d0, e0 = _linearized_rows(chart, product, -1, basis0)
     d1, e1 = _linearized_rows(chart, product, -2, basis1)
@@ -95,29 +131,34 @@ def tangent_complex_at(chart: ChartPresentation, pt: MatrixPoint) -> TangentComp
 
 def _linearized_rows(chart: ChartPresentation, product: WordProducts, degree: int, columns: tuple) -> tuple:
     """(e d, e): the linearized differential d of the degree-`degree` entry
-    generators, over `columns`, times its scale e = D^(L-1) (module
-    docstring).  For a word term c * P . delta . S, entry (mu, nu) of the
-    block gets c * P[mu][a] * S[b][nu] in the column of the letter's entry
-    [a, b]."""
+    generators, over `columns`, as sparse integer rows, times its scale
+    e = q D^(L-1) (module docstring).  For a word term c * P . delta . S,
+    entry (mu, nu) of the block gets c * P[mu][a] * S[b][nu] in the column
+    of the letter's entry [a, b]."""
     n = chart.n
     col = {g: i for i, g in enumerate(columns)}
     rows = {}
     longest, weighted = product.weighted_terms(degree)
+    q = lcm(*(c.denominator for _, terms in weighted for _, c in terms))
     for base, terms in weighted:
-        block = [[[0] * len(columns) for _ in range(n)] for _ in range(n)]
+        block = [[{} for _ in range(n)] for _ in range(n)]
         for word, c in terms:
             neg = [j for j, g in enumerate(word) if g.degree < 0]
             if len(neg) > 1:
                 continue
+            c = c.numerator * (q // c.denominator)
             for j in neg or range(len(word)):
                 entries = chart.blocks[word[j].name]
                 suf = _nonzero_entries(product[word[j + 1 :]])
                 for mu, a, x in _nonzero_entries(product[word[:j]]):
+                    cx, block_row, entry_row = c * x, block[mu], entries[a]
                     for b, nu, y in suf:
-                        block[mu][nu][col[entries[a][b]]] += c * x * y
+                        acc = block_row[nu]
+                        k = col[entry_row[b]]
+                        acc[k] = acc.get(k, 0) + cx * y
         for gens, block_row in zip(chart.blocks[base.name], block):
-            rows.update(zip(gens, map(tuple, block_row)))
-    scale = product.scale ** max(longest - 1, 0)
+            rows.update(zip(gens, ({k: v for k, v in acc.items() if v} for acc in block_row)))
+    scale = q * product.scale ** max(longest - 1, 0)
     return tuple(rows[g] for g in chart.generators_of_degree(degree)), scale
 
 
@@ -125,13 +166,18 @@ def _nonzero_entries(mat) -> list:
     return [(i, k, x) for i, row in enumerate(mat) for k, x in enumerate(row) if x]
 
 
-def chart_cohomology(chart: ChartPresentation, pt: MatrixPoint) -> CohomologyReport:
+def chart_cohomology(chart: ChartPresentation, pt) -> CohomologyReport:
     """Cohomology of the tangent complex at a classical point, with h2_exact
-    set from the chart's truncation.  Raises NotClassicalError when the point
-    is not classical."""
+    set from the chart's truncation; `pt` as for `tangent_complex_at`.
+    Raises NotClassicalError when the point is not classical, and
+    StructureError, naming the first nonzero entry of d1 d0, when the
+    differentials do not compose to zero."""
     t = tangent_complex_at(chart, pt)
     if not t.composition_is_zero():
-        raise StructureError("linearized differentials do not compose to zero")
+        row, column = t.composition_witness()
+        raise StructureError(
+            f"linearized differentials do not compose to zero at ({row.name}, {column.name})"
+        )
     n0, n1, n2 = t.dims
     r0, r1 = (linalg.rank(d) for d in t.scaled)
     pres = chart.source
@@ -203,23 +249,26 @@ class QuotTangentReport:
         return bool(self.checks) and all(self.checks.values())
 
 
-def quot_tangent_check(chart: ChartPresentation, pt: MatrixPoint) -> QuotTangentReport:
+def quot_tangent_check(chart: ChartPresentation, pt) -> QuotTangentReport:
     """Compare chart tangent cohomology with the Koszul oracle.
 
     Expected relations at a stable classical point over n distinct reduced
     points of affine m-space over the algebraic closure: h0 = n^2 + ext0,
     h1 = ext1, and h2_upper >= ext2 (equality when the truncation is
-    complete).  Raises NotClassicalError when the point is not classical.
+    complete).  `pt` is as for `tangent_complex_at`, and the classical
+    test and the stability test run at most once between them.  Raises
+    NotClassicalError when the point is not classical.
     """
-    report = chart_cohomology(chart, pt)
+    tests = point_tests(chart, pt, is_classical_point, is_stable)
+    report = chart_cohomology(chart, tests)
     src = chart.source.source
     m, r, n = len(src.variables), len(src.relations), chart.n
 
-    if not is_stable(pt):
+    if not tests.stable:
         note = "no oracle: point is not stable"
     elif r > 0:
         note = "no oracle: ambient ring has relations"
-    elif not detect_reduced_support(pt):
+    elif not detect_reduced_support(tests.point):
         note = "no oracle: support is not n distinct points"
     else:
         ext = koszul_ext_oracle(m, n)

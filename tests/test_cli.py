@@ -375,6 +375,57 @@ def test_pair_task_tests_each_point_once(monkeypatch):
     assert len(calls) == len(manifest.points)
 
 
+@pytest.mark.parametrize(
+    "stem, tasks",
+    [("fermat_n1", ["stable", "tangent", "pair"]), ("affine3_n2", ["stable", "tangent", "selfcheck"])],
+)
+def test_point_tasks_share_one_test_of_each_point(monkeypatch, stem, tasks):
+    # every task reads the point's one classical test and one stability test,
+    # a non-classical point included: E[1,n] and E[n,1] in turn, which do not
+    # commute at n = 2 and miss the quintic at n = 1
+    manifest = load_manifest(str(MANIFESTS / f"{stem}.json"))
+    n = manifest.n
+    units = [[[str(int((i, j) == corner)) for j in range(n)] for i in range(n)] for corner in ((0, n - 1), (n - 1, 0))]
+    off = [units[k % 2] for k in range(len(manifest.variables))]
+    manifest.points = [*manifest.points, parse_point({"matrices": off, "vector": ["1"] * n})]
+    calls = {"is_classical_point": 0, "is_stable": 0}
+
+    def counting(name):
+        real = getattr(points, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name, modules in (("is_classical_point", (cli, tangent, derham)), ("is_stable", (cli, tangent))):
+        for module in modules:
+            monkeypatch.setattr(module, name, counting(name))
+    results = run(manifest, tasks).results
+    stable = results[0]["points"]
+    assert [row["classical"] for row in stable] == [True, False]
+    assert results[1]["points"][1]["classical"] is False
+    assert calls == {"is_classical_point": 2, "is_stable": 2}
+
+
+@pytest.mark.parametrize("tasks", [["stable", "pair"], ["stable", "tangent"], ["tangent", "selfcheck"]])
+def test_point_tests_keep_no_word_products_past_the_tangent_task(monkeypatch, tasks):
+    # a run without the tangent task drops each point's word products after
+    # its classical test, and the tangent task takes them
+    made = []
+
+    class Recorded(points.PointTests):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "PointTests", Recorded)
+    manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
+    assert run(manifest, tasks).ok
+    assert len(made) == len(manifest.points) and all(tests._product is None for tests in made)
+
+
 def test_point_tasks_name_a_missing_point_list():
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))
     manifest.points = []

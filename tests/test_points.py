@@ -140,6 +140,21 @@ def test_krylov_profile_matches_the_rational_reference(corpus):
     assert any(krylov_reference(pt)[-1] < pt.n for pt in cases[-60:])
 
 
+def test_krylov_profile_with_a_zero_framing_or_repeated_candidates():
+    shift = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    zero = MatrixPoint((shift, shift), (0, 0, 0))
+    assert krylov_dimension_profile(zero) == krylov_reference(zero) == [0]
+    assert not is_stable(zero)
+    # equal matrices, or a multiple of one, repeat each round's candidates up
+    # to a scalar: only the first of them joins
+    for mats in ((shift, shift), (shift, [[2 * x for x in row] for row in shift], shift)):
+        for vector in ((1, 0, 0), (F(1, 2), F(1, 3), 0), (0, 1, 0)):
+            pt = MatrixPoint(mats, vector)
+            assert krylov_dimension_profile(pt) == krylov_reference(pt), (mats, vector)
+    assert krylov_dimension_profile(MatrixPoint((shift, shift), (1, 0, 0))) == [1, 2, 3]
+    assert krylov_dimension_profile(MatrixPoint((shift, shift), (0, 1, 0))) == [1, 2, 2]
+
+
 def test_diag_point_construction(corpus):
     src = corpus["k[x,y,z]"]
     pt = diag_point([(0, 0, 0), (1, 2, 3)], src.relations, src.var_gens)

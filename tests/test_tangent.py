@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -8,6 +9,7 @@ import pytest
 
 from dgquot import (
     AlgebraInput,
+    DeRhamAlgebra,
     MatrixPoint,
     NotClassicalError,
     StructureError,
@@ -19,17 +21,20 @@ from dgquot import (
     is_stable,
     koszul_ext_oracle,
     matricize,
+    omega0,
+    pairing_at,
     quot_tangent_check,
     tangent_complex_at,
 )
-from dgquot import linalg
+from dgquot import linalg, tangent
 from dgquot.cli import run
-from dgquot.points import chart_assignment, matrices_commute
+from dgquot.points import PointTests, chart_assignment, matrices_commute
 from dgquot.serialize import load_manifest
 from dgquot.tangent import detect_reduced_support
 from tests.conftest import CORPUS_SPECS
 from tests.test_algebra import linear_part_reference
 from tests.test_derham import _scalar_types_follow_one_rule
+from tests.test_linalg import _ref_bareiss_echelon
 from tests.test_points import classical_reference, rand_invertible
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -186,6 +191,51 @@ def test_rational_relation_coefficients_give_ints_where_integral_at_an_integer_p
     assert _scalar_types_follow_one_rule(t.d0, t.d1)
 
 
+def test_rational_relation_coefficients_give_integer_rows_and_exact_ranks():
+    # the relation's 1/2 enters d0 and d1; their scales clear it, so the
+    # sparse rows stay ints and the ranks match the dense reference
+    src = AlgebraInput.from_strings(["x", "y"], ["1/2*x^2 - y"])
+    chart = matricize(build_resolution(src), 2)
+    rng = random.Random(41)
+    for coords in ([(0, 0), (2, 2)], [(F(1, 3), F(1, 18)), (2, 2)]):
+        pt = diag_point(coords, src.relations, src.var_gens)
+        for point in (pt, gl_action(rand_invertible(rng, 2), pt)):
+            t = tangent_complex_at(chart, point)
+            assert (t.d0, t.d1) == symbolic_tangent_reference(chart, point)
+            assert all(type(x) is int and x for rows in t.scaled for row in rows for x in row.values())
+            ranks = tuple(len(_ref_bareiss_echelon(d)[1]) for d in (t.d0, t.d1))
+            assert chart_cohomology(chart, point).ranks == ranks == (4, 4)
+            assert quot_tangent_check(chart, point).cohomology.ranks == ranks
+
+
+def test_point_tests_of_another_chart_are_refused(fermat_presentation):
+    src = fermat_presentation.source
+    pt = diag_point([(-1, 0, 0, 0)], src.relations, src.var_gens)
+    chart, other = matricize(fermat_presentation, 1), matricize(fermat_presentation, 1)
+    tests = PointTests(chart, pt, is_classical_point, is_stable)
+    assert tests.verdict == (True, None)
+    for routine in (tangent_complex_at, chart_cohomology, quot_tangent_check):
+        with pytest.raises(StructureError, match="another chart"):
+            routine(other, tests)
+    dr = DeRhamAlgebra(other)
+    with pytest.raises(StructureError, match="another chart"):
+        pairing_at(dr, omega0(dr), tests)
+    assert quot_tangent_check(chart, tests).cohomology == chart_cohomology(chart, pt)
+
+
+def test_point_tests_hand_their_word_products_over_once(fermat_presentation):
+    src = fermat_presentation.source
+    chart = matricize(fermat_presentation, 2)
+    pt = diag_point([(-1, 0, 0, 0), (0, 0, -1, 0)], src.relations, src.var_gens)
+    tests = PointTests(chart, pt, is_classical_point, is_stable)
+    t = tangent_complex_at(chart, tests)
+    assert tests._product is None
+    assert tangent_complex_at(chart, tests) == tangent_complex_at(chart, pt) == t
+    assert PointTests(chart, pt, is_classical_point, is_stable, keep_product=False)._product is None
+    off = MatrixPoint(([[1, 1], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]), (1, 0))
+    assert PointTests(chart, off, is_classical_point, is_stable)._product is None
+
+
 @pytest.mark.extended
 def test_free_route_matches_symbolic_route_fermat_n3(presentations, corpus):
     assert_free_route_matches_symbolic(presentations, corpus, [("fermat", 3)])
@@ -221,6 +271,71 @@ def test_quintic_tangent_off_axis(fermat_presentation, corpus, n, ranks):
     rep = chart_cohomology(matricize(fermat_presentation, n), pt)
     assert (rep.h0, rep.h1) == (n * n + 3 * n, 3 * n)
     assert rep.ranks == ranks
+
+
+@pytest.mark.extended
+def test_quintic_tangent_off_axis_at_rank_twelve(fermat_presentation, corpus):
+    n = 12
+    rep = chart_cohomology(matricize(fermat_presentation, n), quintic_off_axis_point(corpus["fermat"], n))
+    assert (rep.h0, rep.h1) == (n * n + 3 * n, 3 * n) == (180, 36)
+    assert rep.ranks == (408, 564)
+
+
+def with_changed_d1_entry(t, i, k):
+    """t with entry (i, k) of its scaled d1 raised by 1."""
+    d0, d1 = t.scaled
+    row = dict(d1[i])
+    row[k] = row.get(k, 0) + 1
+    return dataclasses.replace(t, scaled=(d0, (*d1[:i], {j: x for j, x in row.items() if x}, *d1[i + 1 :])))
+
+
+def shipped_and_off_axis_points(fermat_presentation, corpus):
+    """(label, chart, point): the shipped manifests' points, then the
+    off-axis quintic points at n = 1..4."""
+    for stem in ("fermat_n1", "fermat_n2", "affine3_n2", "sphere_n2"):
+        manifest = load_manifest(str(MANIFESTS / f"{stem}.json"))
+        src = AlgebraInput.from_strings(manifest.variables, manifest.relations)
+        chart = matricize(build_resolution(src, manifest.ordering), manifest.n)
+        for pt in manifest.points:
+            yield stem, chart, pt
+    for n in (1, 2, 3, 4):
+        yield f"quintic off axis n={n}", matricize(fermat_presentation, n), quintic_off_axis_point(corpus["fermat"], n)
+
+
+def test_sparse_tangent_rows_match_the_dense_reference(fermat_presentation, corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense mat_mul in the composition check")
+
+    for label, chart, pt in shipped_and_off_axis_points(fermat_presentation, corpus):
+        t = tangent_complex_at(chart, pt)
+        d0, d1 = t.d0, t.d1
+        assert all(type(x) is int and x for rows in t.scaled for row in rows for x in row.values()), label
+        ranks = tuple(len(_ref_bareiss_echelon(d)[1]) for d in (d0, d1))
+        assert tuple(linalg.rank(rows) for rows in t.scaled) == chart_cohomology(chart, pt).ranks == ranks, label
+        assert t.composition_is_zero() and linalg.is_zero_matrix(linalg.mat_mul(d1, d0)), label
+        # raise one entry of d1 in a column where d0 has a nonzero row: the
+        # product gains that row of d0 in row i
+        k = next(k for k, row in enumerate(t.scaled[0]) if row)
+        i = len(t.basis2) // 2
+        bad = with_changed_d1_entry(t, i, k)
+        assert not linalg.is_zero_matrix(linalg.mat_mul(bad.d1, bad.d0)), label
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "mat_mul", refuse)
+            assert t.composition_is_zero() and t.composition_witness() is None, label
+            assert not bad.composition_is_zero(), label
+            assert bad.composition_witness() == (t.basis2[i], t.basis0[min(t.scaled[0][k])]), label
+
+
+def test_a_failed_composition_names_its_first_nonzero_entry(fermat_presentation, corpus, monkeypatch):
+    chart = matricize(fermat_presentation, 2)
+    pt = quintic_off_axis_point(corpus["fermat"], 2)
+    t = tangent_complex_at(chart, pt)
+    k = next(k for k, row in enumerate(t.scaled[0]) if row)
+    bad = with_changed_d1_entry(t, 5, k)
+    monkeypatch.setattr(tangent, "tangent_complex_at", lambda chart, pt: bad)
+    with pytest.raises(StructureError) as info:
+        chart_cohomology(chart, pt)
+    assert str(info.value) == "linearized differentials do not compose to zero at (t[x,1][1,2], w[2,1])"
 
 
 @pytest.mark.parametrize("stem", ["affine3", "sphere"])
