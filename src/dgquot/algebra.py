@@ -30,11 +30,18 @@ images by the graded Leibniz rule (extend_derivation).  Each image term is
 spliced into the input key in place: a word splice on the free layer, and
 monomial merges left * image * right, with their Koszul signs, on the
 graded layer, where an empty operand takes no merge.  No intermediate
-polynomial is built per term.  The loops run fraction-free: on D*e, where D
-is the lcm of the denominators of e's coefficients, so with integer images
-every product and sum is an int, and each result coefficient is divided by
-D once at the end (as linalg clears each row to integers before it
-eliminates).
+polynomial is built per term.  A graded splice whose remaining factors
+(left * right) and image term hold only even generators commutes with no
+sign, so it is one integer addition of packed monomials (Monagan and
+Pearce, CASC 2007): each even generator met in the call gets an 8-bit
+exponent field, and the packed keys are decoded into canonical monomials
+once at the end.  Only exponents below 2^7 are packed, so the sum of two
+never carries; a monomial with a larger exponent, or a splice with an odd
+factor beside the image term, takes the tuple merge.  The loops run
+fraction-free: on D*e, where D is the lcm of the denominators of e's
+coefficients, so with integer images every product and sum is an int, and
+each result coefficient is divided by D once at the end (as linalg clears
+each row to integers before it eliminates).
 """
 
 from __future__ import annotations
@@ -537,6 +544,60 @@ def _cleared(terms: dict):
     return d, {k: c * d if type(c) is int else c.numerator * (d // c.denominator) for k, c in terms.items()}
 
 
+# A packed monomial is one int with a W-bit field per even generator,
+# holding its exponent.  Packed exponents stay below 2^(W-1), so the sum of
+# two packed monomials never carries out of a field.
+_PACK_BITS = 8
+_PACK_LIMIT = 1 << (_PACK_BITS - 1)
+
+
+def _pack(m: Monomial, units: dict, fields: list):
+    """(k, odd): k packs m's even factors and odd counts its odd factors;
+    None when m has two odd factors or an exponent of at least _PACK_LIMIT.
+    ``units`` maps each generator met to 1 << its field's offset, or to 0
+    when it is odd; ``fields`` lists the even ones in offset order."""
+    k = odd = 0
+    for g, ex in m:
+        unit = units.get(g)
+        if unit is None:
+            unit = units[g] = 0 if g.parity else 1 << (_PACK_BITS * len(fields))
+            if unit:
+                fields.append(g)
+        if not unit:
+            if odd:
+                return None
+            odd = 1
+        elif ex < _PACK_LIMIT:
+            k += ex * unit
+        else:
+            return None
+    return k, odd
+
+
+def _split_image(img: GradedPoly, units: dict, fields: list):
+    """([(packed monomial, c)] for img's even terms that pack, [(monomial,
+    c)] for the rest)."""
+    even, others = [], []
+    for m, c in img.terms.items():
+        k = _pack(m, units, fields)
+        if k is not None and not k[1]:
+            even.append((k[0], c))
+        else:
+            others.append((m, c))
+    return even, others
+
+
+def _unpack(k: int, fields: list) -> Monomial:
+    """The canonical monomial that k packs."""
+    pairs = []
+    while k:
+        offset = (k.bit_length() - 1) // _PACK_BITS * _PACK_BITS
+        ex = k >> offset
+        pairs.append((fields[offset // _PACK_BITS], ex))
+        k -= ex << offset
+    return tuple(sorted(pairs))
+
+
 def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     """Extend generator images to the unique graded Leibniz derivation.
 
@@ -546,6 +607,10 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     graded layer the image of each generator of e is checked once against
     e's generator table, so an image generator that shares a name with a
     different generator of e raises StructureError.
+
+    A graded splice whose remaining factors and image term are all even
+    adds packed monomials instead of merging tuples; each image is packed
+    once per call, and only when a splice beside it can use the packing.
 
     The loops run on D*e with integer coefficients, D the lcm of the
     denominators of e's coefficients, so integer images keep every product
@@ -580,9 +645,13 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     elif isinstance(e, GradedPoly):
         den, terms = _cleared(e.terms)
         acc = {}
+        packed = {}  # packed even monomial -> coefficient, decoded at the end
         checked = set()
+        units, fields = {}, []  # packed fields, assigned in this call
+        splits = {}  # g -> its image's even terms packed, and the other terms
         for m, c in terms.items():
-            par = 0
+            packed_m = False  # _pack(m), taken beside m's first even image term
+            par = 0  # odd factors before g
             for l, (g, ex) in enumerate(m):
                 try:
                     img = images[g]
@@ -592,24 +661,53 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     if g not in checked:
                         e.check_table(img)
                         checked.add(g)
-                    sign = -c * ex if (odd and par) else c * ex
-                    left = m[:l] + (((g, ex - 1),) if ex > 1 else ())
-                    right = m[l + 1 :]
-                    # D(g^ex) contributes left * image-term * right; an
-                    # empty operand is the unit and takes no merge
-                    for m2, c2 in img.terms.items():
-                        s1, key = mono_mul(left, m2) if left and m2 else (1, left or m2)
-                        if s1 and right:
-                            s2, key = mono_mul(key, right) if key else (1, right)
-                            s1 *= s2
-                        if not s1:
-                            continue
-                        s = acc.get(key, 0) + (sign * c2 if s1 > 0 else -sign * c2)
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
-                par = (par + g.parity * ex) % 2
+                    sign = -c * ex if (odd and par & 1) else c * ex
+                    others = img.terms.items()
+                    # the factors left beside an image with even terms,
+                    # packed when they are all even: m's even part less one
+                    # g, or all of it when g is m's one odd factor
+                    if not par and (ex > 1 or len(m) > 1):
+                        split = splits.get(g)
+                        if split is None:
+                            split = splits[g] = _split_image(img, units, fields)
+                        if split[0] and packed_m is False:
+                            packed_m = _pack(m, units, fields)
+                        if split[0] and packed_m and packed_m[1] == g.parity:
+                            even, others = split
+                            rest = packed_m[0] if g.parity else packed_m[0] - units[g]
+                            # two even factors commute: one addition, no sign
+                            for k2, c2 in even:
+                                key = rest + k2
+                                s = packed.get(key, 0) + sign * c2
+                                if s:
+                                    packed[key] = s
+                                else:
+                                    del packed[key]
+                    if others:
+                        left = m[:l] + (((g, ex - 1),) if ex > 1 else ())
+                        right = m[l + 1 :]
+                        # D(g^ex) contributes left * image-term * right; an
+                        # empty operand is the unit and takes no merge
+                        for m2, c2 in others:
+                            s1, key = mono_mul(left, m2) if left and m2 else (1, left or m2)
+                            if s1 and right:
+                                s2, key = mono_mul(key, right) if key else (1, right)
+                                s1 *= s2
+                            if not s1:
+                                continue
+                            s = acc.get(key, 0) + (sign * c2 if s1 > 0 else -sign * c2)
+                            if s:
+                                acc[key] = s
+                            else:
+                                del acc[key]
+                par += g.parity * ex
+        for key, c in packed.items():
+            key = _unpack(key, fields)
+            s = acc.get(key, 0) + c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
         out = GradedPoly(acc, _raw=True)
 
     else:

@@ -12,10 +12,10 @@ the arguments or the manifest are unusable (no report is written).
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from contextlib import nullcontext
 from functools import cached_property, partial
+from itertools import combinations_with_replacement
 
 from .algebra import GradedPoly
 from .derham import (
@@ -215,21 +215,23 @@ def _task_pair(pipe: _Pipeline) -> dict:
 def _task_selfcheck(pipe: _Pipeline) -> dict:
     checks = {}
     checks["free_d_squared"] = check_d_squared(pipe.presentation).ok
-    # de Rham axioms on seeded random elements of the manifest chart
+    # d_dR^2 and [d_int, d_dR] are derivations, so they vanish everywhere
+    # when they vanish on every generator and every d(g), given the Leibniz
+    # rule's Koszul signs; a product of two symbols, one per class of
+    # (degree, kind, dform), puts that sign rule under test.  Measured: about
+    # 10 ms on affine3_n2, 0.2 s on the quintic at n = 2 and 2 s at n = 3,
+    # most of it the symbols of the degree -2 entries and their d(g)
     dr = pipe.derham()
-    rng = random.Random(0)
-    gens = list(dr.chart.generators) + [dr.delta[g] for g in dr.chart.generators]
-    axiom_ok = True
-    for _ in range(200):
-        p = GradedPoly.zero()
-        for _ in range(rng.randint(1, 3)):
-            pairs = [(rng.choice(gens), 1) for _ in range(rng.randint(1, 3))]
-            p = p + GradedPoly.monomial(pairs, rng.randint(-3, 3))
-        if not dr.ddr(dr.ddr(p)).is_zero():
-            axiom_ok = False
-        if not (dr.dint(dr.ddr(p)) + dr.ddr(dr.dint(p))).is_zero():
-            axiom_ok = False
-    checks["derham_axioms"] = axiom_ok
+    symbols = list(dr.chart.generators) + [dr.delta[g] for g in dr.chart.generators]
+    classes = {}
+    for g in symbols:
+        classes.setdefault((g.degree, g.kind, g.dform), g)
+    elements = [GradedPoly.gen(g) for g in symbols]
+    pairs = combinations_with_replacement(classes.values(), 2)
+    elements += [GradedPoly.monomial([(a, 1), (b, 1)]) for a, b in pairs]
+    checks["derham_axioms"] = not any(
+        dr.ddr(dr.ddr(p)) or dr.dint(dr.ddr(p)) + dr.ddr(dr.dint(p)) for p in elements
+    )
     try:
         _require_fermat(dr.chart)
         is_fermat = True

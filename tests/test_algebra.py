@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgquot import GenSym, GradedPoly, NCPoly, StructureError, extend_derivation, graded_commutator
+from dgquot import algebra
 from dgquot.algebra import make_monomial, mono_mul, poly_sum
 
 X = GenSym("x", 0, "variable")
@@ -317,6 +318,165 @@ def test_cleared_derivation_matches_leibniz_reference():
     got = extend_derivation({X: NCPoly.const(1)}, xxx, 1)
     assert got.terms == {(X, X): 1} and type(got.terms[(X, X)]) is int
     assert extend_derivation({X: NCPoly.const(1)}, NCPoly.zero(), 0).is_zero()
+
+
+# de Rham symbol of the odd U: even, of internal degree -1
+DU = GenSym("d(u)", -1, "commutator", dform=True)
+PACK_LIMIT = algebra._PACK_LIMIT  # packed exponents stay below it
+
+
+def packed_run(monkeypatch, images, e, shift=1):
+    """extend_derivation(images, e, shift), the number of tuple merges it
+    made and the number of image terms it packed."""
+    merges, packed = [], []
+    merge, split = algebra.mono_mul, algebra._split_image
+
+    def counted(a, b):
+        merges.append((a, b))
+        return merge(a, b)
+
+    def counted_split(img, units, fields):
+        even, others = split(img, units, fields)
+        packed.append(len(even))
+        return even, others
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "mono_mul", counted)
+        patch.setattr(algebra, "_split_image", counted_split)
+        got = extend_derivation(images, e, shift)
+    return got, len(merges), sum(packed)
+
+
+def test_packed_derivation_of_even_inputs_matches_reference(monkeypatch):
+    """Even terms and even images: every splice adds packed monomials, and
+    no tuple merge is made."""
+    evens = [X, Y, Z, T, DU]
+    rng = random.Random(31)
+
+    def sample(max_terms):
+        p = GradedPoly.zero()
+        for _ in range(rng.randint(1, max_terms)):
+            pairs = [(g, rng.randint(1, 4)) for g in rng.sample(evens, rng.randint(0, 4))]
+            p = p + GradedPoly.monomial(pairs, rng.randint(-5, 5))
+        return p
+
+    nonzero = 0
+    for _ in range(200):
+        images = {g: GradedPoly.zero() if rng.random() < 0.2 else sample(4) for g in evens}
+        e = sample(4)
+        for shift in (0, 1):
+            got, merges, packed = packed_run(monkeypatch, images, e, shift)
+            assert got == derivation_reference(images, e, shift)
+            assert merges == 0
+            nonzero += bool(got) and packed > 0
+    assert nonzero > 200
+
+
+def test_packed_exponents_below_the_limit_and_the_fallback_at_it(monkeypatch):
+    top = PACK_LIMIT - 1
+    # exponents at 2^(W-1) - 1 pack, and sums up to 2^W - 2 stay in their field
+    e = GradedPoly.monomial([(X, top), (Y, 1)])
+    images = {X: GradedPoly.monomial([(Y, top)]) + P(Z).scale(3), Y: GradedPoly.monomial([(X, top), (Z, 1)])}
+    got, merges, packed = packed_run(monkeypatch, images, e)
+    assert got == derivation_reference(images, e, 1)
+    assert merges == 0 and packed == 3
+    assert got.terms == {
+        make_monomial([(X, top - 1), (Y, PACK_LIMIT)]): top,
+        make_monomial([(X, top - 1), (Y, 1), (Z, 1)]): 3 * top,
+        make_monomial([(X, 2 * top), (Z, 1)]): 1,
+    }
+    # an exponent of 2^(W-1) in a term of e takes the tuple merges
+    e = GradedPoly.monomial([(X, PACK_LIMIT), (Y, 1)])
+    got, merges, packed = packed_run(monkeypatch, images, e)
+    assert got == derivation_reference(images, e, 1)
+    assert merges > 0
+    # and so does an image term with it, beside the image's packed terms
+    e = P(X) * P(Y)
+    images = {X: GradedPoly.monomial([(Y, PACK_LIMIT)]) + P(Z), Y: P(Z)}
+    got, merges, packed = packed_run(monkeypatch, images, e)
+    assert got == derivation_reference(images, e, 1)
+    assert merges == 1 and packed == 2
+    assert got.terms[make_monomial([(Y, PACK_LIMIT + 1)])] == 1
+
+
+def test_packed_and_merged_image_terms_in_one_call(monkeypatch):
+    """Images mixing even terms, odd terms and terms with two odd factors;
+    terms of e with no, one and two odd factors."""
+    gens = [X, Y, Z, U, V, DU]
+    images = {
+        X: P(Y) * P(Z) + P(U) + (P(U) * P(V)).scale(2),
+        Y: P(DU) - P(X),
+        Z: P(V) * P(Y),
+        U: P(X) * P(Y),  # an odd generator with an even image
+        V: P(Z) + P(U),
+        DU: GradedPoly.zero(),
+    }
+    rng = random.Random(32)
+    merged = packed_total = 0
+    for _ in range(150):
+        e = GradedPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            pairs = [(g, 1 if g.parity else rng.randint(1, 3)) for g in rng.sample(gens, rng.randint(1, 3))]
+            e = e + GradedPoly.monomial(pairs, rng.randint(-3, 3))
+        for shift in (0, 1):
+            got, merges, packed = packed_run(monkeypatch, images, e, shift)
+            assert got == derivation_reference(images, e, shift)
+            merged += merges
+            packed_total += packed
+    assert merged > 0 and packed_total > 0
+    # U's even image packs beside the even X, and merges beside the odd V
+    images = {X: GradedPoly.zero(), U: P(X) * P(Y), V: GradedPoly.zero()}
+    for e, want in ((P(X) * P(U), 0), (P(U) * P(V), 1)):
+        got, merges, packed = packed_run(monkeypatch, images, e)
+        assert got == derivation_reference(images, e, 1)
+        assert merges == want and packed == 1
+
+
+def test_packed_derivation_with_fraction_coefficients(monkeypatch):
+    """Fraction coefficients in e are cleared before the packed loops, and
+    those of the images ride through them; the result's terms, printing
+    and scalar types equal the reference's."""
+    rng = random.Random(33)
+    evens = [X, Y, Z, T]
+
+    def poly(max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            pairs = tuple(sorted((g, rng.randint(1, 3)) for g in rng.sample(evens, rng.randint(1, 3))))
+            terms[pairs] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+        return GradedPoly(terms)
+
+    for _ in range(100):
+        images = {g: poly(3) for g in evens}
+        e = poly(4)
+        got, merges, _ = packed_run(monkeypatch, images, e)
+        want = leibniz_reference(images, e, 1)
+        assert merges == 0
+        assert got.terms == want.terms and str(got) == str(want)
+        assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
+    # on the packed path a non-integral result stays a Fraction and an
+    # integral one becomes an int
+    e = GradedPoly.monomial([(X, 3), (Y, 1)], Fraction(1, 3))
+    got, merges, packed = packed_run(monkeypatch, {X: P(Z).scale(Fraction(2, 3)), Y: GradedPoly.zero()}, e)
+    assert merges == 0 and packed == 1
+    assert got.terms == {make_monomial([(X, 2), (Y, 1), (Z, 1)]): Fraction(2, 3)}
+    got, _, _ = packed_run(monkeypatch, {X: P(Z).scale(Fraction(3, 2)), Y: GradedPoly.zero()}, e.scale(2))
+    key = make_monomial([(X, 2), (Y, 1), (Z, 1)])
+    assert got.terms == {key: 3} and type(got.terms[key]) is int
+
+
+def test_packed_results_that_cancel_to_zero(monkeypatch):
+    # packed keys that cancel among themselves
+    e = P(X) * P(Z) - P(Y) * P(Z)
+    images = {X: P(T), Y: P(T), Z: GradedPoly.zero()}
+    got, merges, packed = packed_run(monkeypatch, images, e)
+    assert got.is_zero() and got.terms == {} and merges == 0 and packed == 2
+    # a packed key that cancels a term spliced with no factor left: D(x^2 - 2y)
+    e = GradedPoly.monomial([(X, 2)]) - P(Y).scale(2)
+    images = {X: P(Z), Y: P(X) * P(Z)}
+    got, merges, packed = packed_run(monkeypatch, images, e)
+    assert got.is_zero() and got.terms == {} and merges == 0 and packed == 1
+    assert derivation_reference(images, e, 1).is_zero()
 
 
 def test_derivation_rejects_mixed_generator_tables():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dgquot import AlgebraInput, DgquotError, GradedPoly, StructureError, build_resolution, matricize
-from dgquot import cli, derham, points, tangent
+from dgquot import algebra, cli, derham, points, tangent
 from dgquot.cli import main, run
 from dgquot.derham import close_check, pairing_at
 from dgquot.repify import matrix_image
@@ -294,6 +294,26 @@ def test_selfcheck_task():
     assert checks["form_invariance_n2"]
 
 
+@pytest.mark.parametrize("name", ["affine3_n2", "fermat_n1"])
+def test_derham_axioms_catch_a_sign_error_on_two_odd_factors(name, monkeypatch):
+    """A kernel whose Koszul sign is wrong when both merged monomials are odd
+    fails selfcheck's de Rham axioms; the true kernel passes them."""
+    manifest = load_manifest(str(MANIFESTS / f"{name}.json"))
+    assert run(manifest, ["selfcheck"]).results[0]["checks"]["derham_axioms"]
+    merge = algebra.mono_mul
+
+    def odd(m):
+        return sum(g.parity * e for g, e in m) % 2
+
+    def flipped(a, b):
+        sign, m = merge(a, b)
+        return (-sign if odd(a) and odd(b) else sign), m
+
+    monkeypatch.setattr(algebra, "mono_mul", flipped)
+    result = run(manifest, ["selfcheck"]).results[0]
+    assert result["status"] == "fail" and not result["checks"]["derham_axioms"]
+
+
 def test_form_tasks_build_the_quintic_form_once_per_rank(monkeypatch):
     """form-check, pair and selfcheck share one phi and one omega per
     DeRhamAlgebra: matrix_image, which only build_phi calls, runs once at
@@ -318,7 +338,7 @@ def test_form_tasks_build_the_quintic_form_once_per_rank(monkeypatch):
 
 @pytest.mark.extended
 def test_selfcheck_checks_closure_at_every_chart_rank(monkeypatch):
-    # about 7 s, most of it the de Rham axioms on the rank-3 chart; chart d^2
+    # about 4 s, about 2 s of it the de Rham axioms on the rank-3 chart; chart d^2
     # is stubbed, since test_criterion_1_d_squared checks it at rank 3
     monkeypatch.setattr(cli, "check_chart_d_squared", lambda chart: Residuals())
     manifest = load_manifest(str(MANIFESTS / "fermat_n1.json"))

@@ -7,17 +7,20 @@ import pytest
 
 from dgquot import (
     AlgebraInput,
+    DeRhamAlgebra,
     DimensionError,
     GradedPoly,
     NCPoly,
     StructureError,
     build_resolution,
     check_chart_d_squared,
+    close_check,
     diag_point,
     gl_action,
     h0_ideal,
     matricize,
     matrix_image,
+    omega0,
 )
 from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
@@ -226,18 +229,32 @@ def test_chart_d_squared_ranks_1_2(charts):
 
 def test_chart_d_squared_merges_no_empty_operand(presentations, monkeypatch):
     """extend_derivation splices an image term into an empty side without a
-    merge: at the quintic n = 2, chart d^2 hands mono_mul no empty operand."""
+    merge.  At the quintic n = 2 every chart d^2 splice is even, so d^2
+    adds packed monomials and calls mono_mul not at all; closure of the
+    2-form on that chart still merges tuples and hands mono_mul no empty
+    operand."""
     merges = []  # (a empty, b empty) per mono_mul call from extend_derivation
-    merge = algebra.mono_mul
+    packed = []  # image terms packed by extend_derivation, per image
+    merge, split = algebra.mono_mul, algebra._split_image
 
     def counted(a, b):
         if sys._getframe(1).f_code is algebra.extend_derivation.__code__:
             merges.append((not a, not b))
         return merge(a, b)
 
+    def counted_split(img, units, fields):
+        even, others = split(img, units, fields)
+        packed.append(len(even))
+        return even, others
+
     monkeypatch.setattr(algebra, "mono_mul", counted)
-    rep = check_chart_d_squared(matricize(presentations["fermat"], 2))
+    monkeypatch.setattr(algebra, "_split_image", counted_split)
+    chart = matricize(presentations["fermat"], 2)
+    rep = check_chart_d_squared(chart)
     assert rep.ok
+    assert sum(packed) and not merges
+    dr = DeRhamAlgebra(chart)
+    assert close_check(dr, omega0(dr)).ok
     assert merges and not any(a or b for a, b in merges)
 
 
