@@ -33,11 +33,14 @@ graded layer, where an empty operand takes no merge.  No intermediate
 polynomial is built per term.  A graded splice whose remaining factors
 (left * right) and image term hold only even generators commutes with no
 sign, so it is one integer addition of packed monomials (Monagan and
-Pearce, CASC 2007): each even generator met in the call gets an 8-bit
-exponent field, and the packed keys are decoded into canonical monomials
-once at the end.  Only exponents below 2^7 are packed, so the sum of two
-never carries; a monomial with a larger exponent, or a splice with an odd
-factor beside the image term, takes the tuple merge.  The loops run
+Pearce, CASC 2007): each even generator met gets an 8-bit exponent field
+in a PackLayout, and the packed keys are decoded into canonical monomials
+once at the end of the call.  A presentation keeps one layout for all its
+derivations, so each image is packed once per layout, not once per call.
+Only exponents below 2^7 are packed, so the sum of two never carries; a
+monomial with a larger exponent, or a splice with an odd factor beside
+the image term, takes the tuple merge.  Printing a GradedPoly formats
+each distinct (generator, exponent) pair once.  The loops run
 fraction-free: on D*e, where D is the lcm of the denominators of e's
 coefficients, so with integer images every product and sum is an int, and
 each result coefficient is divided by D once at the end (as linalg clears
@@ -47,7 +50,9 @@ each row to integers before it eliminates).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import StructureError
@@ -108,6 +113,7 @@ class GenSym(str):
 # A monomial is a tuple of (GenSym, exponent) pairs sorted by generator,
 # exponents positive, odd generators never squared.
 Monomial = tuple
+_exponent = itemgetter(1)
 
 
 def make_monomial(pairs: Iterable[tuple]) -> Monomial:
@@ -361,6 +367,24 @@ class GradedPoly(_TermMap):
     def _factors(m: Monomial) -> list:
         return [g.name if e == 1 else f"{g.name}^{e}" for g, e in m]
 
+    def term_texts(self, limit=None) -> list:
+        """The generic `_TermMap.term_texts`, with each distinct (generator,
+        exponent) pair printed, and given its `mono_print_key` part, once
+        per polynomial rather than once per occurrence."""
+        terms = self.terms
+        pairs = set(chain.from_iterable(terms))
+        text = {p: p[0].name if p[1] == 1 else f"{p[0].name}^{p[1]}" for p in pairs}
+        key = {p: (p[0], -p[1]) for p in pairs}.__getitem__
+        order = sorted(terms, key=lambda m: (-sum(map(_exponent, m)), tuple(map(key, m))))
+        texts = []
+        for m in order[:limit]:
+            c = terms[m]
+            body = "*".join(map(text.__getitem__, m))
+            if not m or abs(c) != 1:
+                body = f"{abs(c)}*{body}" if m else str(abs(c))
+            texts.append("-" + body if c < 0 else body)
+        return texts
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def gen(g: GenSym) -> "GradedPoly":
@@ -554,8 +578,8 @@ _PACK_LIMIT = 1 << (_PACK_BITS - 1)
 def _pack(m: Monomial, units: dict, fields: list):
     """(k, odd): k packs m's even factors and odd counts its odd factors;
     None when m has two odd factors or an exponent of at least _PACK_LIMIT.
-    ``units`` maps each generator met to 1 << its field's offset, or to 0
-    when it is odd; ``fields`` lists the even ones in offset order."""
+    ``units`` and ``fields`` are a `PackLayout`'s, and gain each generator
+    of m not met before."""
     k = odd = 0
     for g, ex in m:
         unit = units.get(g)
@@ -572,6 +596,24 @@ def _pack(m: Monomial, units: dict, fields: list):
         else:
             return None
     return k, odd
+
+
+class PackLayout:
+    """Where packed monomials keep each even generator's exponent, and the
+    images already split on that layout.
+
+    ``units`` maps each generator met to 1 << its field's offset, or to 0
+    when it is odd; ``fields`` lists the even ones in offset order; and
+    ``splits`` maps a generator to (its image, that image split by
+    `_split_image`).  A split is redone when the generator's image is no
+    longer that object.  A presentation keeps one layout for all its
+    derivations, so each image is packed once per layout.
+    """
+
+    __slots__ = ("units", "fields", "splits")
+
+    def __init__(self):
+        self.units, self.fields, self.splits = {}, [], {}
 
 
 def _split_image(img: GradedPoly, units: dict, fields: list):
@@ -598,7 +640,7 @@ def _unpack(k: int, fields: list) -> Monomial:
     return tuple(sorted(pairs))
 
 
-def extend_derivation(images: Mapping, e, degree_shift: int = 1):
+def extend_derivation(images: Mapping, e, degree_shift: int = 1, layout: PackLayout = None):
     """Extend generator images to the unique graded Leibniz derivation.
 
     D(ab) = D(a) b + (-1)^(shift*|a|) a D(b), where |a| is the Koszul parity.
@@ -609,8 +651,9 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
     different generator of e raises StructureError.
 
     A graded splice whose remaining factors and image term are all even
-    adds packed monomials instead of merging tuples; each image is packed
-    once per call, and only when a splice beside it can use the packing.
+    adds packed monomials instead of merging tuples.  Each image is packed
+    once per `layout`, and only when a splice beside it can use the
+    packing; without one the call packs on a fresh layout of its own.
 
     The loops run on D*e with integer coefficients, D the lcm of the
     denominators of e's coefficients, so integer images keep every product
@@ -647,8 +690,9 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
         acc = {}
         packed = {}  # packed even monomial -> coefficient, decoded at the end
         checked = set()
-        units, fields = {}, []  # packed fields, assigned in this call
-        splits = {}  # g -> its image's even terms packed, and the other terms
+        if layout is None:
+            layout = PackLayout()
+        units, fields, splits = layout.units, layout.fields, layout.splits
         for m, c in terms.items():
             packed_m = False  # _pack(m), taken beside m's first even image term
             par = 0  # odd factors before g
@@ -668,12 +712,12 @@ def extend_derivation(images: Mapping, e, degree_shift: int = 1):
                     # g, or all of it when g is m's one odd factor
                     if not par and (ex > 1 or len(m) > 1):
                         split = splits.get(g)
-                        if split is None:
-                            split = splits[g] = _split_image(img, units, fields)
-                        if split[0] and packed_m is False:
+                        if split is None or split[0] is not img:
+                            split = splits[g] = (img, *_split_image(img, units, fields))
+                        if split[1] and packed_m is False:
                             packed_m = _pack(m, units, fields)
-                        if split[0] and packed_m and packed_m[1] == g.parity:
-                            even, others = split
+                        if split[1] and packed_m and packed_m[1] == g.parity:
+                            _, even, others = split
                             rest = packed_m[0] if g.parity else packed_m[0] - units[g]
                             # two even factors commute: one addition, no sign
                             for k2, c2 in even:

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import combinations, groupby
 from typing import Optional, Sequence
 
-from .algebra import GenSym, GradedPoly, NCPoly, extend_derivation, graded_commutator
+from .algebra import GenSym, GradedPoly, NCPoly, PackLayout, extend_derivation, graded_commutator
 from .errors import StructureError
 from .parser import parse_poly, variable_gens
 
@@ -86,7 +86,9 @@ class AlgebraInput:
 
 class Presentation:
     """A generator table `generators`, sorted and fixed at construction, and
-    a differential `diff` from each generator to its image."""
+    a differential `diff` from each generator to its image.  `d` packs on
+    one `PackLayout` kept for the presentation's life, so each image is
+    packed once, and again only after its `diff` entry is replaced."""
 
     @cached_property
     def _by_degree(self) -> dict:
@@ -96,8 +98,12 @@ class Presentation:
     def generators_of_degree(self, degree: int) -> tuple:
         return self._by_degree.get(degree, ())
 
+    @cached_property
+    def _layout(self) -> PackLayout:
+        return PackLayout()
+
     def d(self, p):
-        return extend_derivation(self.diff, p, 1)
+        return extend_derivation(self.diff, p, 1, self._layout)
 
 
 @dataclass

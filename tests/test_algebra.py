@@ -325,9 +325,9 @@ DU = GenSym("d(u)", -1, "commutator", dform=True)
 PACK_LIMIT = algebra._PACK_LIMIT  # packed exponents stay below it
 
 
-def packed_run(monkeypatch, images, e, shift=1):
-    """extend_derivation(images, e, shift), the number of tuple merges it
-    made and the number of image terms it packed."""
+def packed_run(monkeypatch, images, e, shift=1, layout=None):
+    """extend_derivation(images, e, shift, layout), the number of tuple
+    merges it made and the number of image terms it packed."""
     merges, packed = [], []
     merge, split = algebra.mono_mul, algebra._split_image
 
@@ -343,7 +343,7 @@ def packed_run(monkeypatch, images, e, shift=1):
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "mono_mul", counted)
         patch.setattr(algebra, "_split_image", counted_split)
-        got = extend_derivation(images, e, shift)
+        got = extend_derivation(images, e, shift, layout)
     return got, len(merges), sum(packed)
 
 
@@ -463,6 +463,57 @@ def test_packed_derivation_with_fraction_coefficients(monkeypatch):
     got, _, _ = packed_run(monkeypatch, {X: P(Z).scale(Fraction(3, 2)), Y: GradedPoly.zero()}, e.scale(2))
     key = make_monomial([(X, 2), (Y, 1), (Z, 1)])
     assert got.terms == {key: 3} and type(got.terms[key]) is int
+
+
+def test_shared_layout_matches_a_fresh_layout_per_call(monkeypatch):
+    """One layout across calls, as a presentation keeps it: each image is
+    packed once, an image replaced by another object is packed again, and
+    every result equals the one a fresh layout gives."""
+    gens = [X, Y, Z, U, V, DU]
+    images = {
+        X: P(Y) * P(Z) + P(U),
+        Y: P(DU) - P(X).scale(2),
+        Z: P(V) * P(Y),
+        U: P(X) * P(Y),
+        V: P(Z) + P(U),
+        DU: GradedPoly.zero(),
+    }
+    layout = algebra.PackLayout()
+    rng = random.Random(34)
+    packed_total = 0
+    for trial in range(150):
+        if trial == 75:  # a replaced image; the old split must not be read
+            images[Y] = P(Z) * P(Z) - P(DU)
+        e = GradedPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            pairs = [(g, 1 if g.parity else rng.randint(1, 3)) for g in rng.sample(gens, rng.randint(1, 3))]
+            e = e + GradedPoly.monomial(pairs, rng.randint(-3, 3))
+        for shift in (0, 1):
+            got, _, packed = packed_run(monkeypatch, images, e, shift, layout)
+            assert got == extend_derivation(images, e, shift) == derivation_reference(images, e, shift)
+            packed_total += packed
+    assert all(img is images[g] for g, (img, _, _) in layout.splits.items())
+    # two splits of Y, before and after its replacement, and one of every
+    # other image with an even term beside an even factor
+    assert 0 < packed_total <= sum(len(p.terms) for p in images.values()) + 2
+
+
+def test_shared_layout_meets_an_exponent_at_the_limit_after_its_fields(monkeypatch):
+    layout = algebra.PackLayout()
+    images = {X: P(Y) + P(Z).scale(2), Y: P(X) * P(Z), Z: GradedPoly.zero()}
+    got, merges, packed = packed_run(monkeypatch, images, P(X) * P(Y), 1, layout)
+    assert merges == 0 and packed == 3 and set(layout.fields) == {X, Y, Z}
+    # the fields are assigned; an exponent of 2^(W-1) in e takes the merges
+    e = GradedPoly.monomial([(X, PACK_LIMIT), (Y, 1)])
+    got, merges, packed = packed_run(monkeypatch, images, e, 1, layout)
+    assert merges > 0 and packed == 0
+    assert got == extend_derivation(images, e, 1) == derivation_reference(images, e, 1)
+    # and so does an image term with it, beside terms that still pack
+    images[Y] = GradedPoly.monomial([(X, PACK_LIMIT)]) + P(Z)
+    got, merges, packed = packed_run(monkeypatch, images, P(X) * P(Y), 1, layout)
+    assert merges == 1 and packed == 1
+    assert got == extend_derivation(images, P(X) * P(Y), 1) == derivation_reference(images, P(X) * P(Y), 1)
+    assert got.terms[make_monomial([(X, PACK_LIMIT + 1)])] == 1
 
 
 def test_packed_results_that_cancel_to_zero(monkeypatch):
@@ -721,3 +772,25 @@ def test_integral_fraction_results_compare_as_integers():
     assert GradedPoly.const(Fraction(4, 2)).terms == {(): 2}
     assert type(GradedPoly.const(Fraction(4, 2)).constant()) is int
     assert type(NCPoly.word([X], Fraction(-3, 1)).terms[(X,)]) is int
+
+
+def test_graded_term_texts_match_the_generic_route():
+    """GradedPoly.term_texts prints each distinct (generator, exponent) pair
+    once; the generic _TermMap route, which prints each occurrence, is the
+    reference, in order and text, with and without a limit."""
+    rng = random.Random(35)
+    gens = GENS + [DU]
+    for _ in range(300):
+        p = random_poly(rng, gens, max_terms=8, max_factors=4, max_exp=3)
+        if rng.random() < 0.5:
+            p = p.scale(rng.choice((-1, 2, Fraction(-5, 3))))
+        for limit in (None, 0, 1, 3, 100):
+            assert p.term_texts(limit) == algebra._TermMap.term_texts(p, limit)
+    # equal-grade ties, exponents above 1, a constant term and a Fraction
+    p = GradedPoly({((X, 2),): 1, ((X, 1), (Y, 1)): -1, ((Y, 2),): Fraction(1, 2),
+                    ((Z, 1), (U, 1)): -3, (): Fraction(-7, 4)})
+    assert p.term_texts() == algebra._TermMap.term_texts(p) == [
+        "x^2", "-x*y", "1/2*y^2", "-3*z*u", "-7/4",
+    ]
+    assert p.term_texts(2) == ["x^2", "-x*y"]
+    assert GradedPoly.zero().term_texts() == [] and GradedPoly.const(-1).term_texts() == ["-1"]

@@ -9,6 +9,7 @@ from dgquot import (
     AlgebraInput,
     DeRhamAlgebra,
     DimensionError,
+    GenSym,
     GradedPoly,
     NCPoly,
     StructureError,
@@ -24,7 +25,7 @@ from dgquot import (
 )
 from dgquot.algebra import poly_sum
 from dgquot.points import chart_assignment, evaluate_relation_matrix, matrices_satisfy
-from dgquot import algebra, cli, linalg, repify, resolution
+from dgquot import algebra, cli, derham, linalg, repify, resolution
 from tests.test_algebra import tuple_key
 
 
@@ -227,6 +228,15 @@ def test_chart_d_squared_ranks_1_2(charts):
         assert rep.ok, (name, n, rep.failures()[:1])
 
 
+@pytest.mark.extended
+def test_quintic_chart_d_squared_at_rank_four(presentations):
+    """The north-star check: d^2 = 0 on the whole quintic chart at n = 4."""
+    chart = matricize(presentations["fermat"], 4)
+    rep = check_chart_d_squared(chart)
+    assert rep.ok and len(rep) == len(chart.generators) == 308
+    assert sum(len(chart.diff[g].terms) for g in chart.generators) == 158_036
+
+
 def test_chart_d_squared_merges_no_empty_operand(presentations, monkeypatch):
     """extend_derivation splices an image term into an empty side without a
     merge.  At the quintic n = 2 every chart d^2 splice is even, so d^2
@@ -274,6 +284,165 @@ def test_chart_build_merges_no_empty_operand(presentations, monkeypatch):
     for g in chart.generators:
         chart.diff[g]
     assert merges and not any(a or b for a, b in merges)
+
+
+def matrix_image_by_words(grids, n, p):
+    """Reference route for `matrix_image`: the word-by-word routine the word
+    automaton replaced.  Each word of p is expanded on its own, index path
+    by index path, with p's coefficient carried from its first letter."""
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for word, c in p.terms.items():
+        for mu in range(n):
+            if word:
+                paths = {j: {((e, 1),): c} for j, e in enumerate(grids[word[0].name][mu])}
+            else:
+                paths = {mu: {(): c}}
+            for g in word[1:]:
+                grid = grids[g.name]
+                step = {}
+                for i, terms in paths.items():
+                    for j, e in enumerate(grid[i]):
+                        repify._add_products(step.setdefault(j, {}), terms, ((e, 1),))
+                paths = step
+            for nu, terms in paths.items():
+                acc = out[mu][nu]
+                for m, a in terms.items():
+                    s = acc.get(m, 0) + a
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+    return [[GradedPoly(terms, _raw=True) for terms in row] for row in out]
+
+
+def assert_same_image(got, want):
+    """Equal terms, entry by entry, and equal scalar types.  The automaton
+    divides by p's common denominator once, so an integral coefficient is an
+    int, as the one scalar rule asks; the reference's sums of Fractions may
+    leave one as an integral Fraction, so its types are read through _coeff."""
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        for a, b in zip(got_row, want_row, strict=True):
+            assert a.terms == b.terms
+            assert {m: type(c) for m, c in a.terms.items()} == {
+                m: type(algebra._coeff(c)) for m, c in b.terms.items()
+            }
+
+
+# letters of every parity: even x, y and t (degrees 0, 0, -2), odd a and s
+# (degree -1), and the odd de Rham symbol d(x) of degree 0
+AUTOMATON_LETTERS = [
+    GenSym("x", 0, "variable"),
+    GenSym("y", 0, "variable"),
+    GenSym("t", -2, "correction"),
+    GenSym("a", -1, "commutator"),
+    GenSym("s", -1, "relation-syzygy"),
+    GenSym("d(x)", 0, "variable", dform=True),
+]
+
+
+def letter_grids(n):
+    return {
+        g.name: [[GenSym(f"{g.name}[{mu},{nu}]", g.degree, "matrix-entry", g.dform)
+                  for nu in range(n)] for mu in range(n)]
+        for g in AUTOMATON_LETTERS
+    }
+
+
+def random_automaton_input(rng):
+    """A free polynomial whose words share prefixes, whose quotients agree
+    exactly or up to a scalar, and some of whose words cancel."""
+
+    def word(lo, hi):
+        return tuple(rng.choice(AUTOMATON_LETTERS) for _ in range(rng.randint(lo, hi)))
+
+    def coeff():
+        if rng.random() < 0.3:
+            return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((2, 3, 4)))
+        return rng.choice((-2, -1, 1, 1, 3))
+
+    p = NCPoly.zero()
+    for _ in range(rng.randint(0, 4)):
+        w, c = word(0, 4), coeff()
+        p = p + NCPoly.word(w, c)
+        if rng.random() < 0.3:  # the same word again, cancelling it
+            p = p - NCPoly.word(w, c)
+    # one suffix set after two prefixes, the second time scaled (often by 1)
+    suffixes = NCPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        suffixes = suffixes + NCPoly.word(word(0, 2), coeff())
+    scalar = rng.choice((1, 1, -1, 2, Fraction(1, 2)))
+    p = p + NCPoly.word(word(1, 2)) * suffixes + NCPoly.word(word(1, 2)).scale(scalar) * suffixes
+    if rng.random() < 0.2:  # a commutator, whose image cancels at n = 1
+        u, v = word(1, 2), word(1, 2)
+        p = p + NCPoly.word(u + v) - NCPoly.word(v + u)
+    return p
+
+
+def test_word_automaton_matches_the_word_by_word_reference():
+    rng = random.Random(27)
+    merged = 0
+    for n in (1, 2, 3, 4):
+        grids = letter_grids(n)
+        cases = [NCPoly.zero(), NCPoly.const(Fraction(-3, 2)), NCPoly.const(2)]
+        cases += [random_automaton_input(rng) for _ in range(60 if n < 4 else 15)]
+        for p in cases:
+            assert_same_image(matrix_image(grids, n, p), matrix_image_by_words(grids, n, p))
+            merged += len(p.terms) > len({w[:1] for w in p.terms})
+    assert merged > 100  # most inputs share a first letter between words
+
+
+def test_word_automaton_on_the_quintic_potential_and_chart(presentations, monkeypatch):
+    """The image of Phi, with its two odd letters d(x) and a[p,q], at
+    n = 1..4, and every free differential of the quintic at n = 2, where the
+    automaton merges mono_mul calls that the word-by-word route repeats."""
+    calls = []  # (grids, n, p) per matrix_image call from build_phi
+
+    def recorded(grids, n, p):
+        calls.append((grids, n, p))
+        return matrix_image(grids, n, p)
+
+    monkeypatch.setattr(derham, "matrix_image", recorded)
+    for n in (1, 2, 3, 4):
+        derham.build_phi(DeRhamAlgebra(matricize(presentations["fermat"], n)))
+    assert [n for _, n, _ in calls] == [1, 2, 3, 4]
+    for grids, n, p in calls:
+        assert {g.parity for w in p.terms for g in w} == {0, 1}
+        assert_same_image(matrix_image(grids, n, p), matrix_image_by_words(grids, n, p))
+
+    counts = []  # mono_mul calls per route
+    merge = repify.mono_mul
+
+    def counted(a, b):
+        counts[-1] += 1
+        return merge(a, b)
+
+    monkeypatch.setattr(repify, "mono_mul", counted)
+    pres = presentations["fermat"]
+    chart = matricize(pres, 2)
+    for route in (matrix_image, matrix_image_by_words):
+        counts.append(0)
+        images = [route(chart.blocks, 2, pres.diff[g]) for g in pres.generators]
+    assert counts[0] < counts[1]
+    for g, image in zip(pres.generators, images):
+        assert_same_image(matrix_image(chart.blocks, 2, pres.diff[g]), image)
+
+
+def test_chart_d_squared_layout_follows_a_replaced_entry(presentations):
+    """A chart's d packs each image once for the chart's life; an entry
+    replaced after d^2 has run is packed again, so the same chart fails
+    exactly as a fresh chart with that replacement."""
+    pres = presentations["fermat"]
+    chart = matricize(pres, 2)
+    assert check_chart_d_squared(chart).ok
+    a = chart.blocks[pres.koszul[(0, 1)].name][0][1]
+    assert chart._layout.splits[a][0] is chart.diff[a]
+    chart.diff[a] = -chart.diff[a]
+    fresh = matricize(pres, 2)
+    fresh.diff[a] = -fresh.diff[a]
+    got, want = check_chart_d_squared(chart), check_chart_d_squared(fresh)
+    assert got.failures() and got.failures() == want.failures()
+    assert chart._layout.splits[a][0] is chart.diff[a]
 
 
 def test_word_matrix_multiplicative(charts):
